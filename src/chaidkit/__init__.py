@@ -13,7 +13,6 @@ from .core import (
     GrowthParams,
     PredictorSpec,
     SplitCandidate,
-    StopDecision,
     StopReason,
     best_split,
     evaluate_predictor,
@@ -78,7 +77,6 @@ __all__ = [
     "SplitCandidate",
     "GrowthParams",
     "StopReason",
-    "StopDecision",
     "merge_categories",
     "evaluate_predictor",
     "best_split",

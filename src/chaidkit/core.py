@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterator, Mapping, Sequence
 
 from .errors import ChaidError
 from .stats import (
     BonferroniQuery,
+    ContingencyTable,
     Scale,
     bonferroni_multiplier,
     build_contingency,
@@ -30,7 +31,6 @@ __all__ = [
     "SplitCandidate",
     "GrowthParams",
     "StopReason",
-    "StopDecision",
     "merge_categories",
     "evaluate_predictor",
     "best_split",
@@ -169,18 +169,6 @@ class StopReason(str, Enum):
     PURE_NODE = "pure_node"
 
 
-@dataclass(frozen=True)
-class StopDecision:
-    stop: bool
-    reason: StopReason | None = None
-
-    def __post_init__(self) -> None:
-        if self.stop and self.reason is None:
-            raise ChaidError("stop decision needs a reason")
-        if not self.stop and self.reason is not None:
-            raise ChaidError("continue decision must not carry a reason")
-
-
 class _MergeState:
     """Working state for one predictor's merge loop at one node.
 
@@ -192,43 +180,31 @@ class _MergeState:
     def __init__(
         self,
         observed: list[str],
-        rows: list[list[int]],
+        rows: Sequence[Sequence[int]],
         float_index: int | None,
     ) -> None:
         self.observed = observed
         # Dense order index over non-floating categories, for adjacency.
-        self.ord_index: dict[int, int] = {}
-        rank = 0
-        for i in range(len(observed)):
-            if i != float_index:
-                self.ord_index[i] = rank
-                rank += 1
-        self.float_index = float_index
+        ordered = [i for i in range(len(observed)) if i != float_index]
+        self.ord_index = {i: rank for rank, i in enumerate(ordered)}
         self.groups: list[list[int]] = [[i] for i in range(len(observed))]
         self.rows: list[list[int]] = [list(r) for r in rows]
 
-    def non_float_span(self, gi: int) -> tuple[int, int] | None:
-        ranks = [self.ord_index[m] for m in self.groups[gi] if m != self.float_index]
-        if not ranks:
-            return None
-        return min(ranks), max(ranks)
-
     def eligible_pairs(self, scale: Scale) -> list[tuple[int, int]]:
         n = len(self.groups)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         if scale is Scale.FREE:
-            return [(i, j) for i in range(n) for j in range(i + 1, n)]
-        pairs: list[tuple[int, int]] = []
-        spans = [self.non_float_span(g) for g in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                a, b = spans[i], spans[j]
-                if a is None or b is None:
-                    # A group that is just the floating category may pair
-                    # with anything.
-                    pairs.append((i, j))
-                elif a[1] + 1 == b[0] or b[1] + 1 == a[0]:
-                    pairs.append((i, j))
-        return pairs
+            return pairs
+        spans: list[tuple[int, int] | None] = []
+        for group in self.groups:
+            ranks = [self.ord_index[m] for m in group if m in self.ord_index]
+            spans.append((min(ranks), max(ranks)) if ranks else None)
+
+        def adjacent(a: tuple[int, int] | None, b: tuple[int, int] | None) -> bool:
+            # A group that is just the floating category may pair with anything.
+            return a is None or b is None or a[1] + 1 == b[0] or b[1] + 1 == a[0]
+
+        return [(i, j) for i, j in pairs if adjacent(spans[i], spans[j])]
 
     def merge(self, i: int, j: int) -> None:
         self.groups[i] = self.groups[i] + self.groups[j]
@@ -237,10 +213,7 @@ class _MergeState:
         del self.rows[j]
 
     def partition(self) -> CategoryPartition:
-        def sort_key(group: list[int]) -> int:
-            return min(group)
-
-        ordered = sorted(self.groups, key=sort_key)
+        ordered = sorted(self.groups, key=min)
         return CategoryPartition(
             tuple(tuple(self.observed[m] for m in sorted(g)) for g in ordered)
         )
@@ -277,52 +250,28 @@ def _pair_p_value(row_a: Sequence[int], row_b: Sequence[int]) -> float:
     return chi_square_p_value(statistic, len(obs_a) - 1)
 
 
-def _observed_counts(
-    records: Iterable[Mapping[str, object]],
-    predictor: PredictorSpec,
-    target: str,
-) -> tuple[list[str], list[list[int]], list[str]]:
-    """Per-category count rows at a node, in universe category order.
+def _effective_scale(predictor: PredictorSpec, observed: Collection[str]) -> Scale:
+    """The predictor's scale at a node with categories ``observed``.
 
-    Returns (observed categories, count rows aligned to them, observed
-    target classes in sorted order).
+    A float-scale predictor whose floating category never occurred at the
+    node sees a purely ordered predictor, so it is treated as monotonic by
+    both the merge loop and the multiplier.
     """
-    universe_rank = {c: i for i, c in enumerate(predictor.categories)}
-    pair_counts: dict[tuple[str, str], int] = {}
-    seen_cats: set[str] = set()
-    seen_classes: set[str] = set()
-    n = 0
-    for rec in records:
-        n += 1
-        try:
-            cat = str(rec[predictor.name])
-            cls = str(rec[target])
-        except KeyError as exc:
-            raise ChaidError(f"record is missing column {exc.args[0]!r}") from exc
-        if cat not in universe_rank:
-            raise ChaidError(
-                f"category {cat!r} is not declared for predictor {predictor.name!r}"
-            )
-        seen_cats.add(cat)
-        seen_classes.add(cls)
-        pair_counts[(cat, cls)] = pair_counts.get((cat, cls), 0) + 1
-    if n == 0:
-        raise ChaidError("empty node")
-    observed = sorted(seen_cats, key=universe_rank.__getitem__)
-    classes = sorted(seen_classes)
-    rows = [
-        [pair_counts.get((cat, cls), 0) for cls in classes] for cat in observed
-    ]
-    return observed, rows, classes
+    if predictor.scale is Scale.FLOAT and predictor.float_category not in observed:
+        return Scale.MONOTONIC
+    return predictor.scale
 
 
 def merge_categories(
-    records: Sequence[Mapping[str, object]],
+    table: ContingencyTable,
     predictor: PredictorSpec,
-    target: str,
     alpha_merge: float,
 ) -> CategoryPartition:
     """Merge a predictor's observed categories until every eligible pair differs.
+
+    ``table`` is the node's per-category table, one original category per
+    row, as :func:`build_contingency` returns it without a partition; its
+    rows are taken in the order of ``predictor.categories``.
 
     Starting from singleton groups, repeatedly test each eligible pair of
     groups on its two-row sub-table and merge the pair with the largest
@@ -335,36 +284,26 @@ def merge_categories(
     returned groups are contiguous runs of the observed order. Ties on the
     largest p-value break toward the earliest pair in group order.
     """
-    observed, rows, _ = _observed_counts(records, predictor, target)
-    scale = predictor.scale
-    float_index: int | None = None
-    if scale is Scale.FLOAT:
-        if predictor.float_category in observed:
-            float_index = observed.index(predictor.float_category)
-        else:
-            # The floating category never occurred here, so the node sees a
-            # purely ordered predictor.
-            scale = Scale.MONOTONIC
+    rank = {cat: i for i, cat in enumerate(predictor.categories)}
+    for (cat,) in table.row_labels:
+        if cat not in rank:
+            raise ChaidError(
+                f"category {cat!r} is not declared for predictor {predictor.name!r}"
+            )
+    rows = sorted(zip(table.row_labels, table.counts), key=lambda row: rank[row[0][0]])
+    observed = [cat for (cat,), _ in rows]
+    scale = _effective_scale(predictor, observed)
+    float_index = observed.index(predictor.float_category) if scale is Scale.FLOAT else None
 
-    state = _MergeState(observed, rows, float_index)
+    state = _MergeState(observed, [counts for _, counts in rows], float_index)
     while len(state.groups) > 2:
-        best_pair: tuple[int, int] | None = None
-        best_p = -1.0
-        for i, j in state.eligible_pairs(scale):
-            p = _pair_p_value(state.rows[i], state.rows[j])
-            if p > best_p:
-                best_p = p
-                best_pair = (i, j)
-        if best_pair is None or best_p <= alpha_merge:
+        pairs = state.eligible_pairs(scale)
+        p_values = [_pair_p_value(state.rows[i], state.rows[j]) for i, j in pairs]
+        best = max(range(len(pairs)), key=p_values.__getitem__)
+        if p_values[best] <= alpha_merge:
             break
-        state.merge(*best_pair)
+        state.merge(*pairs[best])
     return state.partition()
-
-
-def _effective_scale(predictor: PredictorSpec, observed: Sequence[str]) -> Scale:
-    if predictor.scale is Scale.FLOAT and predictor.float_category not in observed:
-        return Scale.MONOTONIC
-    return predictor.scale
 
 
 def evaluate_predictor(
@@ -375,32 +314,24 @@ def evaluate_predictor(
     *,
     class_order: Sequence[str] | None = None,
 ) -> SplitCandidate | None:
-    """Score one predictor at a node: merge, test, and penalise.
+    """Score one predictor at a node: count, merge, test, and penalise.
 
-    Runs :func:`merge_categories`, tests the merged contingency table, and
-    multiplies the raw p-value by the number of ways ``c`` observed
-    categories could have been reduced to ``r`` groups (capped at 1).
-    Returns ``None`` when no split is possible: a single merged group, a
-    single observed category, or a single observed target class.
+    Counts the node's per-category table once, runs
+    :func:`merge_categories` on it, tests the table with its rows summed
+    per merged group, and multiplies the raw p-value by the number of ways
+    ``c`` observed categories could have been reduced to ``r`` groups
+    (capped at 1). Returns ``None`` when no split is possible: a single
+    merged group, a single observed category, or a single observed target
+    class.
     """
-    partition = merge_categories(records, predictor, target, alpha_merge)
-    if len(partition.groups) < 2:
+    table = build_contingency(records, predictor.name, target, class_order=class_order)
+    partition = merge_categories(table, predictor, alpha_merge)
+    if len(partition.groups) < 2 or table.n_cols < 2:
         return None
-    table = build_contingency(
-        records,
-        predictor.name,
-        target,
-        partition.groups,
-        class_order=class_order,
-    )
-    if table.n_rows < 2 or table.n_cols < 2:
-        return None
-    result = chi_square_test(table)
-    observed = sorted(partition.all_categories())
-    c = len(observed)
-    r = len(partition.groups)
-    query = BonferroniQuery(_effective_scale(predictor, observed), c, r)
-    multiplier = bonferroni_multiplier(query)
+    merged = table.merge_rows(partition.groups)
+    result = chi_square_test(merged)
+    scale = _effective_scale(predictor, partition.all_categories())
+    multiplier = bonferroni_multiplier(BonferroniQuery(scale, table.n_rows, len(partition)))
     assert result.p_value is not None
     adjusted = min(1.0, multiplier * result.p_value)
     return SplitCandidate(
@@ -411,7 +342,7 @@ def evaluate_predictor(
         raw_p=result.p_value,
         multiplier=multiplier,
         adjusted_p=adjusted,
-        group_sizes=tuple(table.row_totals()),
+        group_sizes=tuple(merged.row_totals()),
     )
 
 
@@ -452,22 +383,23 @@ def should_stop(
     n_classes: int,
     candidate: SplitCandidate | None,
     params: GrowthParams,
-) -> StopDecision:
-    """Apply the stop rules in precedence order and report the first that fires.
+) -> StopReason | None:
+    """Apply the stop rules in precedence order; return the first that fires.
 
     Order: no candidate; depth at the limit; node below the minimum parent
     size; a candidate child below the minimum child size; all records in
     one target class. ``n_classes`` is the number of target classes
-    observed at the node, which the candidate alone cannot convey.
+    observed at the node, which the candidate alone cannot convey. ``None``
+    means growth continues.
     """
     if candidate is None:
-        return StopDecision(True, StopReason.NO_SIGNIFICANT_PREDICTOR)
+        return StopReason.NO_SIGNIFICANT_PREDICTOR
     if node_depth >= params.max_depth:
-        return StopDecision(True, StopReason.MAX_DEPTH)
+        return StopReason.MAX_DEPTH
     if node_size < params.min_parent_size:
-        return StopDecision(True, StopReason.MIN_PARENT)
+        return StopReason.MIN_PARENT
     if any(size < params.min_child_size for size in candidate.group_sizes):
-        return StopDecision(True, StopReason.WOULD_CREATE_SMALL_CHILD)
+        return StopReason.WOULD_CREATE_SMALL_CHILD
     if n_classes <= 1:
-        return StopDecision(True, StopReason.PURE_NODE)
-    return StopDecision(False, None)
+        return StopReason.PURE_NODE
+    return None

@@ -80,8 +80,8 @@ def grow_tree(
         candidate = best_split(
             subset, predictors, target, params, class_order=classes
         )
-        decision = should_stop(depth, len(subset), len(class_counts), candidate, params)
-        if decision.stop:
+        reason = should_stop(depth, len(subset), len(class_counts), candidate, params)
+        if reason is not None:
             nodes.append(
                 TreeNode(
                     id=node_id,
@@ -90,7 +90,7 @@ def grow_tree(
                     split=None,
                     children=(),
                     class_counts=class_counts,
-                    stop_reason=decision.reason,
+                    stop_reason=reason,
                 )
             )
             continue

@@ -97,16 +97,18 @@ class BinningSpec:
     def from_doc(cls, doc: object) -> "BinningSpec":
         if not isinstance(doc, dict) or "strategy" not in doc:
             raise DataError("binning entry must be a mapping with a strategy")
-        strategy = doc["strategy"]
         bin_count = doc.get("bin_count")
         boundaries = doc.get("boundaries")
-        return cls(
-            strategy=str(strategy),
-            bin_count=None if bin_count is None else int(bin_count),
-            boundaries=None
-            if boundaries is None
-            else tuple(float(b) for b in boundaries),
-        )
+        if not isinstance(boundaries, (list, type(None))):
+            raise DataError(f"binning boundaries must be a list, not {boundaries!r}")
+        try:
+            count = None if bin_count is None else int(bin_count)
+            cuts = None if boundaries is None else tuple(float(b) for b in boundaries)
+        except (TypeError, ValueError, OverflowError):
+            raise DataError(
+                f"binning bin count {bin_count!r} or boundaries {boundaries!r} are not numbers"
+            ) from None
+        return cls(strategy=str(doc["strategy"]), bin_count=count, boundaries=cuts)
 
 
 def _compute_boundaries(values: Sequence[float], spec: BinningSpec) -> tuple[float, ...]:
@@ -119,20 +121,19 @@ def _compute_boundaries(values: Sequence[float], spec: BinningSpec) -> tuple[flo
     n = len(ordered)
     k = spec.bin_count
     assert k is not None
-    top = ordered[-1]
+    lo, top = ordered[0], ordered[-1]
     bounds: list[float] = []
-    if spec.strategy == "equal_frequency":
-        for j in range(1, k):
+    for j in range(1, k):
+        if spec.strategy == "equal_frequency":
             cut = ordered[-(-j * n // k) - 1]
-            if cut >= top:
-                break
-            if not bounds or cut > bounds[-1]:
-                bounds.append(cut)
-    else:
-        lo = ordered[0]
-        if top > lo:
-            for i in range(1, k):
-                bounds.append(lo + (top - lo) * i / k)
+        else:
+            cut = lo + (top - lo) * j / k
+        # Cuts never decrease; on a range too narrow for the float grid they
+        # repeat or reach the top, and such cuts collapse.
+        if cut >= top:
+            break
+        if not bounds or cut > bounds[-1]:
+            bounds.append(cut)
     return tuple(bounds)
 
 
@@ -152,7 +153,9 @@ def bin_numeric(
     (ties go to the lower bin, so tied boundary values never straddle two
     bins); duplicate or top-end cuts collapse, which is how a constant
     column degenerates to a single label. Equal-width keeps its grid even
-    when some interior bins end up empty, so labels can be sparse.
+    when some interior bins end up empty, so labels can be sparse; only
+    grid cuts that repeat or reach the top value, as on a range narrower
+    than the float resolution allows, collapse the same way.
     """
     if not values:
         raise DataError("cannot bin an empty column")
@@ -255,6 +258,8 @@ class ColumnSpec:
         else:
             binning = BinningSpec.from_doc(binning_doc)
         categories_doc = doc.get("categories")
+        if not isinstance(categories_doc, (list, type(None))):
+            raise DataError(f"column {name!r}: categories must be a list, not {categories_doc!r}")
         return cls(
             name=name,
             role=role,

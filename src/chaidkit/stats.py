@@ -127,6 +127,32 @@ class ContingencyTable:
     def grand_total(self) -> int:
         return sum(sum(row) for row in self.counts)
 
+    def merge_rows(self, groups: Sequence[Sequence[str]]) -> "ContingencyTable":
+        """Sum the rows into one row per group of original categories, in group order.
+
+        Every category of a row must fall in the same group. Groups that
+        cover no row are dropped, so this is the table a recount of the same
+        records under the partition ``groups`` would give.
+
+        Raises:
+            ChaidError: ``"value outside partition"`` when a row's category is
+                in no group.
+        """
+        labels = [tuple(group) for group in groups]
+        slot = {cat: gi for gi, group in enumerate(labels) for cat in group}
+        sums = [[0] * self.n_cols for _ in labels]
+        for label, row in zip(self.row_labels, self.counts):
+            owners = {slot.get(cat) for cat in label}
+            if None in owners:
+                stray = next(cat for cat in label if cat not in slot)
+                raise ChaidError(f"value outside partition: {stray!r}")
+            if len(owners) > 1:
+                raise ChaidError(f"row {label} spans two partition groups")
+            total = sums[owners.pop()]
+            for j, value in enumerate(row):
+                total[j] += value
+        return ContingencyTable.from_counts(labels, self.col_labels, sums)
+
 
 @dataclass(frozen=True)
 class ChiSquareResult:
@@ -172,11 +198,11 @@ def build_contingency(
 ) -> ContingencyTable:
     """Count joint occurrences of a predictor's (merged) categories and target classes.
 
-    With ``partition`` given, each row is one group of original categories and
-    holds the elementwise sum of its members' counts; without it, every
-    observed category is its own row. Rows follow partition order (or sorted
-    category order), columns follow ``class_order`` (or sorted class order).
-    Zero rows and columns are dropped.
+    Without ``partition``, every observed category is its own row, in sorted
+    category order. With it, the rows are summed per group as
+    :meth:`ContingencyTable.merge_rows` does, in partition order. Columns
+    follow ``class_order`` (or sorted class order). Zero rows and columns
+    are dropped.
 
     Raises:
         ChaidError: ``"empty node"`` for an empty record set, or
@@ -186,8 +212,7 @@ def build_contingency(
     pair_counts: dict[tuple[str, str], int] = {}
     classes: list[str] = list(class_order) if class_order is not None else []
     seen_classes = set(classes)
-    seen_cats: list[str] = []
-    seen_cat_set: set[str] = set()
+    seen_cats: set[str] = set()
     n = 0
     for rec in records:
         n += 1
@@ -196,9 +221,7 @@ def build_contingency(
             cls = str(rec[target])
         except KeyError as exc:
             raise ChaidError(f"record is missing column {exc.args[0]!r}") from exc
-        if cat not in seen_cat_set:
-            seen_cat_set.add(cat)
-            seen_cats.append(cat)
+        seen_cats.add(cat)
         if cls not in seen_classes:
             if class_order is not None:
                 raise ChaidError(f"target class {cls!r} not in declared class order")
@@ -210,20 +233,10 @@ def build_contingency(
     if class_order is None:
         classes = sorted(classes)
 
-    if partition is None:
-        groups = [(c,) for c in sorted(seen_cats)]
-    else:
-        groups = [tuple(g) for g in partition]
-        covered = {c for g in groups for c in g}
-        stray = seen_cat_set - covered
-        if stray:
-            raise ChaidError(f"value outside partition: {sorted(stray)[0]!r}")
-
-    counts = [
-        [sum(pair_counts.get((c, cls), 0) for c in group) for cls in classes]
-        for group in groups
-    ]
-    return ContingencyTable.from_counts(groups, classes, counts)
+    cats = sorted(seen_cats)
+    counts = [[pair_counts.get((c, cls), 0) for cls in classes] for c in cats]
+    table = ContingencyTable.from_counts(cats, classes, counts)
+    return table if partition is None else table.merge_rows(partition)
 
 
 def expected_counts(table: ContingencyTable) -> list[list[float]]:

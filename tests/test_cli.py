@@ -109,6 +109,36 @@ class TestTrain:
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: missing required column 'y'"]
 
+    @pytest.mark.parametrize(
+        "column",
+        [
+            {
+                "name": "x",
+                "role": "predictor",
+                "kind": "numeric",
+                "binning": {"strategy": "equal_width", "bin_count": "many"},
+            },
+            {"name": "x", "role": "predictor", "kind": "categorical", "categories": 7},
+        ],
+        ids=["bin_count_not_a_number", "categories_not_a_list"],
+    )
+    def test_malformed_schema_field_is_one_error_line(
+        self, tmp_path, perfect, capsys, column
+    ):
+        _, data = perfect
+        schema = tmp_path / "bad_schema.json"
+        doc = {
+            "format": "chaidkit-schema",
+            "format_version": 1,
+            "columns": [column, {"name": "y", "role": "target", "kind": "categorical"}],
+        }
+        schema.write_text(json.dumps(doc), encoding="utf-8")
+        rc, _ = train(tmp_path, schema, data)
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ")
+
 
 def setup_model(tmp_path, perfect):
     schema, data = perfect

@@ -16,9 +16,10 @@ from chaidkit import (
     PredictorSpec,
     Scale,
     SplitCandidate,
-    StopDecision,
     StopReason,
     best_split,
+    build_contingency,
+    chi_square_test,
     evaluate_predictor,
     merge_categories,
     partition_count_oracle,
@@ -31,6 +32,11 @@ def spec(categories, scale=Scale.FREE, name="x", float_category=None):
     return PredictorSpec(name, scale, tuple(categories), float_category)
 
 
+def counted(records):
+    """The node's per-category table, as the merge loop receives it."""
+    return build_contingency(records, "x", "y")
+
+
 def scipy_p(rows):
     _, p, _, _ = scipy.stats.chi2_contingency(rows, correction=False)
     return p
@@ -41,7 +47,7 @@ class TestMergeCategories:
         records = records_from_counts(
             {("A", "u"): 5, ("A", "v"): 5, ("B", "u"): 9, ("B", "v"): 1}
         )
-        partition = merge_categories(records, spec("AB"), "y", 0.05)
+        partition = merge_categories(counted(records), spec("AB"), 0.05)
         assert partition.groups == (("A",), ("B",))
 
     def test_free_scale_merges_lookalikes(self):
@@ -55,7 +61,7 @@ class TestMergeCategories:
         assert scipy_p([[30, 30], [30, 30]]) > 0.9
         assert scipy_p([[30, 30], [55, 5]]) < 1e-6
         records = records_from_counts(counts)
-        partition = merge_categories(records, spec("ABC"), "y", 0.05)
+        partition = merge_categories(counted(records), spec("ABC"), 0.05)
         assert partition.groups == (("A", "B"), ("C",))
 
     def test_monotonic_all_distinct_stays_apart(self):
@@ -73,7 +79,7 @@ class TestMergeCategories:
             assert scipy_p(rows) < 0.05
         records = records_from_counts(counts)
         partition = merge_categories(
-            records, spec(["c1", "c2", "c3", "c4"], Scale.MONOTONIC), "y", 0.05
+            counted(records), spec(["c1", "c2", "c3", "c4"], Scale.MONOTONIC), 0.05
         )
         assert partition.groups == (("c1",), ("c2",), ("c3",), ("c4",))
 
@@ -88,10 +94,10 @@ class TestMergeCategories:
         }
         records = records_from_counts(counts)
         ordered = merge_categories(
-            records, spec(["c1", "c2", "c3"], Scale.MONOTONIC), "y", 0.05
+            counted(records), spec(["c1", "c2", "c3"], Scale.MONOTONIC), 0.05
         )
         assert ordered.groups == (("c1",), ("c2",), ("c3",))
-        free = merge_categories(records, spec(["c1", "c2", "c3"]), "y", 0.05)
+        free = merge_categories(counted(records), spec(["c1", "c2", "c3"]), 0.05)
         assert free.groups == (("c1", "c3"), ("c2",))
 
     def test_float_category_may_jump(self):
@@ -104,12 +110,10 @@ class TestMergeCategories:
         records = records_from_counts(counts)
         cats = ["o1", "o2", "o3", "<missing>"]
         floated = merge_categories(
-            records, spec(cats, Scale.FLOAT, float_category="<missing>"), "y", 0.05
+            counted(records), spec(cats, Scale.FLOAT, float_category="<missing>"), 0.05
         )
         assert floated.groups == (("o1", "o2", "<missing>"), ("o3",))
-        ordered = merge_categories(
-            records, spec(cats, Scale.MONOTONIC), "y", 0.05
-        )
+        ordered = merge_categories(counted(records), spec(cats, Scale.MONOTONIC), 0.05)
         assert ordered.groups == (("o1", "o2"), ("o3",), ("<missing>",))
 
     def test_unobserved_float_category_behaves_monotonic(self):
@@ -120,9 +124,8 @@ class TestMergeCategories:
         }
         records = records_from_counts(counts)
         partition = merge_categories(
-            records,
+            counted(records),
             spec(["o1", "o2", "o3", "<missing>"], Scale.FLOAT, float_category="<missing>"),
-            "y",
             0.05,
         )
         # Without the floating category on site, o1 and o3 stay apart.
@@ -130,12 +133,12 @@ class TestMergeCategories:
 
     def test_empty_node(self):
         with pytest.raises(ChaidError, match="empty node"):
-            merge_categories([], spec("AB"), "y", 0.05)
+            evaluate_predictor([], spec("AB"), "y", 0.05)
 
     def test_undeclared_category(self):
         records = records_from_counts({("Z", "u"): 1})
         with pytest.raises(ChaidError, match="not declared"):
-            merge_categories(records, spec("AB"), "y", 0.05)
+            merge_categories(counted(records), spec("AB"), 0.05)
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)
@@ -157,7 +160,7 @@ class TestMergeCategories:
             observed.add("k0")
         records = records_from_counts(counts)
         partition = merge_categories(
-            records, spec(cats, scale, float_category=float_cat), "y", 0.05
+            counted(records), spec(cats, scale, float_category=float_cat), 0.05
         )
         # Covers exactly the observed categories, disjointly.
         assert set(partition.all_categories()) == observed
@@ -217,6 +220,48 @@ class TestEvaluatePredictor:
         candidate = evaluate_predictor(records, spec("ABCDE"), "y", 0.5)
         assert candidate is not None
         assert candidate.adjusted_p == 1.0
+
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_split_table_equals_a_recount(self, data):
+        # The split is tested on the node table's rows summed per merged
+        # group; a fresh count of the records under the chosen partition
+        # must give the identical test, bit for bit.
+        n_cats = data.draw(st.integers(2, 6))
+        cats = [f"k{i}" for i in range(n_cats)]
+        scale = data.draw(st.sampled_from([Scale.MONOTONIC, Scale.FREE, Scale.FLOAT]))
+        float_cat = cats[-1] if scale is Scale.FLOAT else None
+        classes = ["u", "v", "w"]
+        counts = {
+            (cat, cls): n
+            for cat in cats
+            for cls in classes
+            if (n := data.draw(st.integers(0, 30)))
+        } or {("k0", "u"): 1}
+        records = records_from_counts(counts)
+        class_order = data.draw(st.sampled_from([classes, classes[::-1]]))
+        alpha_merge = data.draw(st.sampled_from([0.05, 0.5]))
+        candidate = evaluate_predictor(
+            records,
+            spec(cats, scale, float_category=float_cat),
+            "y",
+            alpha_merge,
+            class_order=class_order,
+        )
+        observed_cats = {cat for cat, _ in counts}
+        observed_classes = {cls for _, cls in counts}
+        if len(observed_cats) < 2 or len(observed_classes) < 2:
+            assert candidate is None
+            return
+        assert candidate is not None
+        recount = build_contingency(
+            records, "x", "y", candidate.partition.groups, class_order=class_order
+        )
+        reference = chi_square_test(recount)
+        assert candidate.statistic == reference.statistic
+        assert candidate.df == reference.degrees_of_freedom
+        assert candidate.raw_p == reference.p_value
+        assert candidate.group_sizes == tuple(recount.row_totals())
 
 
 class TestBestSplit:
@@ -278,32 +323,31 @@ def _candidate(group_sizes=(50, 50), raw_p=0.001, multiplier=2):
 
 class TestShouldStop:
     def test_absent_candidate_wins_over_everything(self):
-        decision = should_stop(9, 3, 1, None, GrowthParams())
-        assert decision == StopDecision(True, StopReason.NO_SIGNIFICANT_PREDICTOR)
+        reason = should_stop(9, 3, 1, None, GrowthParams())
+        assert reason is StopReason.NO_SIGNIFICANT_PREDICTOR
 
     def test_max_depth(self):
-        decision = should_stop(3, 1000, 2, _candidate(), GrowthParams(max_depth=3))
-        assert decision.reason is StopReason.MAX_DEPTH
+        reason = should_stop(3, 1000, 2, _candidate(), GrowthParams(max_depth=3))
+        assert reason is StopReason.MAX_DEPTH
 
     def test_min_parent(self):
-        decision = should_stop(1, 9, 2, _candidate(), GrowthParams())
-        assert decision.reason is StopReason.MIN_PARENT
+        reason = should_stop(1, 9, 2, _candidate(), GrowthParams())
+        assert reason is StopReason.MIN_PARENT
 
     def test_small_child(self):
-        decision = should_stop(1, 100, 2, _candidate(group_sizes=(96, 4)), GrowthParams())
-        assert decision.reason is StopReason.WOULD_CREATE_SMALL_CHILD
+        reason = should_stop(1, 100, 2, _candidate(group_sizes=(96, 4)), GrowthParams())
+        assert reason is StopReason.WOULD_CREATE_SMALL_CHILD
 
     def test_pure_node(self):
-        decision = should_stop(1, 100, 1, _candidate(), GrowthParams())
-        assert decision.reason is StopReason.PURE_NODE
+        reason = should_stop(1, 100, 1, _candidate(), GrowthParams())
+        assert reason is StopReason.PURE_NODE
 
     def test_no_rule_fires(self):
-        decision = should_stop(0, 1000, 2, _candidate(), GrowthParams())
-        assert decision == StopDecision(False, None)
+        assert should_stop(0, 1000, 2, _candidate(), GrowthParams()) is None
 
     def test_depth_precedence_over_size(self):
-        decision = should_stop(5, 3, 2, _candidate(), GrowthParams(max_depth=3))
-        assert decision.reason is StopReason.MAX_DEPTH
+        reason = should_stop(5, 3, 2, _candidate(), GrowthParams(max_depth=3))
+        assert reason is StopReason.MAX_DEPTH
 
 
 class TestParams:
@@ -328,9 +372,3 @@ class TestParams:
     def test_invalid(self, kwargs):
         with pytest.raises(ChaidError):
             GrowthParams(**kwargs)
-
-    def test_stop_decision_consistency(self):
-        with pytest.raises(ChaidError):
-            StopDecision(True, None)
-        with pytest.raises(ChaidError):
-            StopDecision(False, StopReason.MAX_DEPTH)

@@ -7,7 +7,7 @@ import json
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chaidkit import (
@@ -96,6 +96,10 @@ class TestBinning:
         st.integers(2, 6),
         st.sampled_from(["equal_frequency", "equal_width"]),
     )
+    # Ranges narrower than the float grid, where equal-width cuts repeat
+    # and reach the top value.
+    @example([1.0, 1.0000000000000002], 4, "equal_width")
+    @example([0.0, 5e-324], 4, "equal_width")
     @settings(max_examples=120, deadline=None)
     def test_binning_properties(self, values, k, strategy):
         labels, bounds = bin_numeric(
