@@ -97,10 +97,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ChaidError as exc:
-        _fail(str(exc))
-        return 1
-    except OSError as exc:
+    except (ChaidError, OSError) as exc:
         _fail(str(exc))
         return 1
 

@@ -15,7 +15,6 @@ from typing import Collection, Iterator, Mapping, Sequence
 
 from .errors import ChaidError
 from .stats import (
-    BonferroniQuery,
     ContingencyTable,
     Scale,
     bonferroni_multiplier,
@@ -102,9 +101,6 @@ class CategoryPartition:
 
     def __iter__(self) -> Iterator[tuple[str, ...]]:
         return iter(self.groups)
-
-    def __len__(self) -> int:
-        return len(self.groups)
 
 
 @dataclass(frozen=True)
@@ -331,8 +327,7 @@ def evaluate_predictor(
     merged = table.merge_rows(partition.groups)
     result = chi_square_test(merged)
     scale = _effective_scale(predictor, partition.all_categories())
-    multiplier = bonferroni_multiplier(BonferroniQuery(scale, table.n_rows, len(partition)))
-    assert result.p_value is not None
+    multiplier = bonferroni_multiplier(scale, table.n_rows, len(partition.groups))
     adjusted = min(1.0, multiplier * result.p_value)
     return SplitCandidate(
         predictor=predictor,

@@ -17,8 +17,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -76,6 +77,8 @@ class BinningSpec:
                 raise DataError("explicit boundaries take no bin count")
             if self.boundaries is None:
                 raise DataError("explicit binning needs its boundaries")
+            if not all(math.isfinite(b) for b in self.boundaries):
+                raise DataError("binning boundaries must be finite numbers")
             for a, b in zip(self.boundaries, self.boundaries[1:]):
                 if not a < b:
                     raise DataError("binning boundaries must be strictly increasing")
@@ -419,28 +422,20 @@ class Dataset:
         for col in self.schema.columns:
             if col.role == "ignored":
                 continue
-            entry: dict = {"name": col.name, "role": col.role, "kind": col.kind}
+            changes: dict = {}
             if col.role == "predictor":
-                entry["scale"] = col.effective_scale.value
-                if col.effective_float_category is not None:
-                    entry["float_category"] = col.effective_float_category
+                changes["scale"] = col.effective_scale
+                changes["float_category"] = col.effective_float_category
             if col.kind == "numeric":
-                entry["binning"] = {
-                    "strategy": "explicit_boundaries",
-                    "boundaries": list(self.boundaries.get(col.name, ())),
-                }
+                changes["binning"] = BinningSpec(
+                    "explicit_boundaries", boundaries=self.boundaries.get(col.name, ())
+                )
             elif col.role == "target":
-                entry["categories"] = list(self.classes)
+                changes["categories"] = self.classes
             else:
-                spec_cats = self._universe(col)
-                entry["categories"] = list(spec_cats)
-            columns.append(entry)
-        return {
-            "format": SCHEMA_FORMAT,
-            "format_version": SCHEMA_FORMAT_VERSION,
-            "delimiter": self.schema.delimiter,
-            "columns": columns,
-        }
+                changes["categories"] = self._universe(col)
+            columns.append(replace(col, **changes))
+        return DatasetSchema(tuple(columns), self.schema.delimiter).to_doc()
 
 
 def _read_rows(
@@ -487,7 +482,8 @@ def load_dataset(
     declared category lists are enforced. Without it (prediction), the
     target is not parsed and any missing predictor cell becomes the
     missing label for routing to deal with. Numeric cells that fail to
-    parse are always an error citing the data row and column.
+    parse, or parse to ``nan`` or an infinity, are always an error citing
+    the data row and column.
     """
     header, rows = _read_rows(source, schema.delimiter)
     index: dict[str, int] = {}
@@ -531,11 +527,16 @@ def load_dataset(
                 if cell == "":
                     continue
                 try:
-                    values.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise DataError(
                         f"row {r + 1}: column {col.name!r}: cannot parse {cell!r} as a number"
                     ) from None
+                if not math.isfinite(value):
+                    raise DataError(
+                        f"row {r + 1}: column {col.name!r}: {cell!r} is not a finite number"
+                    )
+                values.append(value)
                 value_rows.append(r)
             assert col.binning is not None
             bounds = _compute_boundaries(values, col.binning)

@@ -203,17 +203,6 @@ class Tree:
         }
         return ClassDistribution(probabilities=probabilities, support=support)
 
-    def predict_distribution(
-        self,
-        record: Mapping[str, object],
-        *,
-        on_novel: str = "largest_child",
-        warn: Callable[[str], None] | None = None,
-    ) -> ClassDistribution:
-        """Distribution of the terminal node the record routes to."""
-        leaf_id = self.route(record, on_novel=on_novel, warn=warn)
-        return self.distribution(leaf_id)
-
     # -- serialization ----------------------------------------------------
 
     def to_document(self) -> dict:

@@ -2,8 +2,7 @@
 
 Contingency tables, the Pearson chi-squared independence statistic, the
 upper-tail chi-squared probability, and the multiple-comparison multipliers
-used to penalise category merging, together with a brute-force enumeration
-oracle for those multipliers.
+used to penalise category merging.
 
 Everything here is a pure function of its inputs; concurrent callers need
 no synchronisation.
@@ -22,19 +21,11 @@ __all__ = [
     "Scale",
     "ContingencyTable",
     "ChiSquareResult",
-    "BonferroniQuery",
     "build_contingency",
-    "expected_counts",
-    "pearson_chi_square",
     "chi_square_p_value",
     "chi_square_test",
     "bonferroni_multiplier",
-    "partition_count_oracle",
-    "ORACLE_MAX_CATEGORIES",
 ]
-
-#: Largest original-category count the enumeration oracle will accept.
-ORACLE_MAX_CATEGORIES = 10
 
 
 class Scale(str, Enum):
@@ -121,12 +112,6 @@ class ContingencyTable:
     def row_totals(self) -> list[int]:
         return [sum(row) for row in self.counts]
 
-    def col_totals(self) -> list[int]:
-        return [sum(row[j] for row in self.counts) for j in range(self.n_cols)]
-
-    def grand_total(self) -> int:
-        return sum(sum(row) for row in self.counts)
-
     def merge_rows(self, groups: Sequence[Sequence[str]]) -> "ContingencyTable":
         """Sum the rows into one row per group of original categories, in group order.
 
@@ -156,36 +141,19 @@ class ContingencyTable:
 
 @dataclass(frozen=True)
 class ChiSquareResult:
-    """Outcome of a chi-squared independence test.
-
-    ``p_value`` is ``None`` until filled in from the statistic, so the
-    statistic computation stays separate from the tail-probability one.
-    """
+    """Outcome of a chi-squared independence test."""
 
     statistic: float
     degrees_of_freedom: int
-    p_value: float | None = None
+    p_value: float
 
     def __post_init__(self) -> None:
         if self.statistic < 0:
             raise ChaidError("negative chi-squared statistic")
         if self.degrees_of_freedom < 1:
             raise ChaidError("degrees of freedom must be positive")
-        if self.p_value is not None and not 0.0 <= self.p_value <= 1.0:
+        if not 0.0 <= self.p_value <= 1.0:
             raise ChaidError("p-value outside [0, 1]")
-
-
-@dataclass(frozen=True)
-class BonferroniQuery:
-    """A merge outcome to be penalised: ``c`` original categories reduced to ``r``."""
-
-    scale: Scale
-    c: int
-    r: int
-
-    def __post_init__(self) -> None:
-        if self.r < 1 or self.r > self.c:
-            raise ChaidError("invalid merge arity")
 
 
 def build_contingency(
@@ -239,38 +207,6 @@ def build_contingency(
     return table if partition is None else table.merge_rows(partition)
 
 
-def expected_counts(table: ContingencyTable) -> list[list[float]]:
-    """Expected cell counts under independence: row total x column total / grand total."""
-    row_tot = table.row_totals()
-    col_tot = table.col_totals()
-    grand = table.grand_total()
-    if grand <= 0:
-        raise ChaidError("empty table")
-    return [[rt * ct / grand for ct in col_tot] for rt in row_tot]
-
-
-def pearson_chi_square(table: ContingencyTable) -> ChiSquareResult:
-    """Pearson chi-squared statistic and degrees of freedom for an independence test.
-
-    The p-value is left unset; pair with :func:`chi_square_p_value` or use
-    :func:`chi_square_test`.
-
-    Raises:
-        ChaidError: ``"degenerate table"`` if the table has fewer than two
-            rows or columns.
-    """
-    if table.n_rows < 2 or table.n_cols < 2:
-        raise ChaidError("degenerate table")
-    expected = expected_counts(table)
-    statistic = 0.0
-    for i, row in enumerate(table.counts):
-        for j, observed in enumerate(row):
-            diff = observed - expected[i][j]
-            statistic += diff * diff / expected[i][j]
-    df = (table.n_rows - 1) * (table.n_cols - 1)
-    return ChiSquareResult(statistic=statistic, degrees_of_freedom=df)
-
-
 def chi_square_p_value(statistic: float, df: int) -> float:
     """Upper-tail probability of the chi-squared distribution.
 
@@ -289,10 +225,27 @@ def chi_square_p_value(statistic: float, df: int) -> float:
 
 
 def chi_square_test(table: ContingencyTable) -> ChiSquareResult:
-    """Full independence test: statistic, degrees of freedom, and p-value."""
-    partial = pearson_chi_square(table)
-    p = chi_square_p_value(partial.statistic, partial.degrees_of_freedom)
-    return ChiSquareResult(partial.statistic, partial.degrees_of_freedom, p)
+    """Pearson chi-squared independence test: statistic, degrees of freedom, p-value.
+
+    Each cell's expected count is row total x column total / grand total.
+
+    Raises:
+        ChaidError: ``"degenerate table"`` if the table has fewer than two
+            rows or columns.
+    """
+    if table.n_rows < 2 or table.n_cols < 2:
+        raise ChaidError("degenerate table")
+    row_totals = table.row_totals()
+    col_totals = [sum(column) for column in zip(*table.counts)]
+    grand = sum(row_totals)
+    statistic = 0.0
+    for row, row_total in zip(table.counts, row_totals):
+        for observed, col_total in zip(row, col_totals):
+            expected = row_total * col_total / grand
+            diff = observed - expected
+            statistic += diff * diff / expected
+    df = (table.n_rows - 1) * (table.n_cols - 1)
+    return ChiSquareResult(statistic, df, chi_square_p_value(statistic, df))
 
 
 def _upper_regularized_gamma(a: float, x: float) -> float:
@@ -346,7 +299,7 @@ def _upper_gamma_continued_fraction(a: float, x: float) -> float:
     return math.exp(_log_prefix(a, x)) * h
 
 
-def bonferroni_multiplier(query: BonferroniQuery) -> int:
+def bonferroni_multiplier(scale: Scale, c: int, r: int) -> int:
     """Number of distinct ways ``c`` categories can reduce to ``r`` groups.
 
     This is the multiple-comparison penalty applied to a merged split's raw
@@ -362,10 +315,11 @@ def bonferroni_multiplier(query: BonferroniQuery) -> int:
         ChaidError: ``"invalid merge arity"`` when r > c or r < 1, and
             ``"float scale underdetermined"`` for float with c < 2 or r < 2.
     """
-    c, r = query.c, query.r
-    if query.scale is Scale.MONOTONIC:
+    if r < 1 or r > c:
+        raise ChaidError("invalid merge arity")
+    if scale is Scale.MONOTONIC:
         return math.comb(c - 1, r - 1)
-    if query.scale is Scale.FREE:
+    if scale is Scale.FREE:
         total = sum((-1) ** i * math.comb(r, i) * (r - i) ** c for i in range(r))
         quotient, remainder = divmod(total, math.factorial(r))
         if remainder:
@@ -374,72 +328,3 @@ def bonferroni_multiplier(query: BonferroniQuery) -> int:
     if c < 2 or r < 2:
         raise ChaidError("float scale underdetermined")
     return math.comb(c - 2, r - 2) + r * math.comb(c - 2, r - 1)
-
-
-def partition_count_oracle(scale: Scale, c: int, r: int) -> int:
-    """Count the same partitions as :func:`bonferroni_multiplier` by explicit enumeration.
-
-    Every counted structure is actually generated, so this is a slow,
-    independent cross-check usable up to ``c = ORACLE_MAX_CATEGORIES``.
-
-    Raises:
-        ChaidError: ``"oracle bound exceeded"`` above the enumeration bound;
-            argument errors mirror :func:`bonferroni_multiplier`.
-    """
-    if r < 1 or r > c:
-        raise ChaidError("invalid merge arity")
-    if c > ORACLE_MAX_CATEGORIES:
-        raise ChaidError("oracle bound exceeded")
-    if scale is Scale.MONOTONIC:
-        return sum(1 for _ in _compositions(c, r))
-    if scale is Scale.FREE:
-        return sum(1 for _ in _set_partitions(c, r))
-    if c < 2 or r < 2:
-        raise ChaidError("float scale underdetermined")
-    return sum(1 for _ in _float_partitions(c, r))
-
-
-def _compositions(total: int, parts: int):
-    """Yield run lengths cutting an ordered row of ``total`` items into ``parts`` runs."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for head in range(1, total - parts + 2):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
-def _set_partitions(n: int, blocks: int):
-    """Yield partitions of items 0..n-1 into exactly ``blocks`` non-empty blocks."""
-
-    def extend(item: int, partial: list[list[int]]):
-        if item == n:
-            if len(partial) == blocks:
-                yield [tuple(b) for b in partial]
-            return
-        still_needed = blocks - len(partial)
-        for block in partial:
-            if n - item - 1 >= still_needed:
-                block.append(item)
-                yield from extend(item + 1, partial)
-                block.pop()
-        if len(partial) < blocks:
-            partial.append([item])
-            yield from extend(item + 1, partial)
-            partial.pop()
-
-    yield from extend(0, [])
-
-
-def _float_partitions(c: int, r: int):
-    """Yield float-scale partitions: c-1 ordered items in runs, one floating item.
-
-    The floating item either stands alone beside r-1 runs or is attached to
-    one of r runs.
-    """
-    for runs in _compositions(c - 1, r - 1):
-        yield (runs, None)
-    for runs in _compositions(c - 1, r):
-        for attach_to in range(r):
-            yield (runs, attach_to)

@@ -8,16 +8,12 @@ from typing import Mapping, Sequence
 
 from scipy.integrate import quad
 
-from chaidkit import (
-    CategoryPartition,
-    GrowthParams,
-    NodeSplit,
-    PredictorSpec,
-    Scale,
-    StopReason,
-    Tree,
-    TreeNode,
-)
+from chaidkit import ChaidError, GrowthParams, PredictorSpec, Scale, Tree
+from chaidkit.core import CategoryPartition, StopReason
+from chaidkit.model import NodeSplit, TreeNode
+
+#: Largest original-category count the enumeration oracle will accept.
+ORACLE_MAX_CATEGORIES = 10
 
 
 def chi2_upper_tail_by_integration(statistic: float, df: int) -> float:
@@ -37,6 +33,75 @@ def chi2_upper_tail_by_integration(statistic: float, df: int) -> float:
 
     upper, _ = quad(density, statistic, math.inf, epsabs=1e-12, epsrel=1e-12, limit=400)
     return upper
+
+
+def partition_count_oracle(scale: Scale, c: int, r: int) -> int:
+    """Count the same partitions as :func:`bonferroni_multiplier` by explicit enumeration.
+
+    Every counted structure is actually generated, so this is a slow,
+    independent cross-check usable up to ``c = ORACLE_MAX_CATEGORIES``.
+
+    Raises:
+        ChaidError: ``"oracle bound exceeded"`` above the enumeration bound;
+            argument errors mirror :func:`bonferroni_multiplier`.
+    """
+    if r < 1 or r > c:
+        raise ChaidError("invalid merge arity")
+    if c > ORACLE_MAX_CATEGORIES:
+        raise ChaidError("oracle bound exceeded")
+    if scale is Scale.MONOTONIC:
+        return sum(1 for _ in _compositions(c, r))
+    if scale is Scale.FREE:
+        return sum(1 for _ in _set_partitions(c, r))
+    if c < 2 or r < 2:
+        raise ChaidError("float scale underdetermined")
+    return sum(1 for _ in _float_partitions(c, r))
+
+
+def _compositions(total: int, parts: int):
+    """Yield run lengths cutting an ordered row of ``total`` items into ``parts`` runs."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for head in range(1, total - parts + 2):
+        for rest in _compositions(total - head, parts - 1):
+            yield (head,) + rest
+
+
+def _set_partitions(n: int, blocks: int):
+    """Yield partitions of items 0..n-1 into exactly ``blocks`` non-empty blocks."""
+
+    def extend(item: int, partial: list[list[int]]):
+        if item == n:
+            if len(partial) == blocks:
+                yield [tuple(b) for b in partial]
+            return
+        still_needed = blocks - len(partial)
+        for block in partial:
+            if n - item - 1 >= still_needed:
+                block.append(item)
+                yield from extend(item + 1, partial)
+                block.pop()
+        if len(partial) < blocks:
+            partial.append([item])
+            yield from extend(item + 1, partial)
+            partial.pop()
+
+    yield from extend(0, [])
+
+
+def _float_partitions(c: int, r: int):
+    """Yield float-scale partitions: c-1 ordered items in runs, one floating item.
+
+    The floating item either stands alone beside r-1 runs or is attached to
+    one of r runs.
+    """
+    for runs in _compositions(c - 1, r - 1):
+        yield (runs, None)
+    for runs in _compositions(c - 1, r):
+        for attach_to in range(r):
+            yield (runs, attach_to)
 
 
 def records_from_counts(

@@ -13,26 +13,23 @@ import random
 import time
 
 from chaidkit import (
-    BonferroniQuery,
     ChaidError,
     GrowthParams,
     PredictorSpec,
     Scale,
     Tree,
-    assign_bin,
     bonferroni_multiplier,
     chi_square_p_value,
+    chi_square_test,
     evaluate_predictor,
     grow_tree,
     load_dataset,
     load_model,
-    partition_count_oracle,
-    pearson_chi_square,
     save_model,
     train_tree,
 )
 from chaidkit.cli import main
-from chaidkit.ingest import BinningSpec, ColumnSpec, DatasetSchema
+from chaidkit.ingest import BinningSpec, ColumnSpec, DatasetSchema, assign_bin
 from chaidkit.stats import ContingencyTable
 from conftest import (
     DILIHAT_BOUNDARIES,
@@ -40,6 +37,7 @@ from conftest import (
     TERMINAL_NODE_IDS,
     TIPE_CATEGORIES,
     chi2_upper_tail_by_integration,
+    partition_count_oracle,
     random_tree,
     sales_fixture_tree,
 )
@@ -53,7 +51,7 @@ def test_bonferroni_multipliers_match_enumeration():
         for r in range(1, c + 1):
             for scale in (Scale.MONOTONIC, Scale.FREE, Scale.FLOAT):
                 try:
-                    closed_form = bonferroni_multiplier(BonferroniQuery(scale, c, r))
+                    closed_form = bonferroni_multiplier(scale, c, r)
                 except ChaidError:
                     with_oracle = None
                     try:
@@ -66,7 +64,7 @@ def test_bonferroni_multipliers_match_enumeration():
                 checked += 1
     # The nominal-scale count is the Stirling partition number, not the
     # broken power form: 4 categories into 2 blocks can happen 7 ways.
-    assert bonferroni_multiplier(BonferroniQuery(Scale.FREE, 4, 2)) == 7
+    assert bonferroni_multiplier(Scale.FREE, 4, 2) == 7
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0, f"bonferroni sweep took {elapsed:.3f}s"
     print(f"PASS bonferroni: {checked} (scale, c, r) cells equal the "
@@ -97,8 +95,8 @@ def _table(rows):
 
 def test_chi_square_kernel_closed_forms_and_scaling():
     """Closed-form 2x2 statistics plus the k-scaling law, 1000 cases."""
-    assert pearson_chi_square(_table([[10, 0], [0, 10]])).statistic == 20.0
-    assert abs(pearson_chi_square(_table([[20, 5], [10, 15]])).statistic - 25 / 3) <= 1e-9
+    assert chi_square_test(_table([[10, 0], [0, 10]])).statistic == 20.0
+    assert abs(chi_square_test(_table([[20, 5], [10, 15]])).statistic - 25 / 3) <= 1e-9
 
     rng = random.Random(90210)
     cases = 0
@@ -108,15 +106,15 @@ def test_chi_square_kernel_closed_forms_and_scaling():
         rows = [[rng.randint(0, 30) for _ in range(n_cols)] for _ in range(n_rows)]
         for i in range(min(n_rows, n_cols)):
             rows[i][i] += 1  # no all-zero line
-        base = pearson_chi_square(_table(rows))
+        base = chi_square_test(_table(rows))
         if cases % 2 == 0:
             k = 2 ** rng.randint(1, 8)
-            scaled = pearson_chi_square(_table([[k * v for v in row] for row in rows]))
+            scaled = chi_square_test(_table([[k * v for v in row] for row in rows]))
             # Scaling by a power of two commutes with every rounding step.
             assert scaled.statistic == k * base.statistic
         else:
             k = rng.randint(2, 9)
-            scaled = pearson_chi_square(_table([[k * v for v in row] for row in rows]))
+            scaled = chi_square_test(_table([[k * v for v in row] for row in rows]))
             assert abs(scaled.statistic - k * base.statistic) <= 1e-12 * max(
                 1.0, k * base.statistic
             )
@@ -234,7 +232,7 @@ def test_sales_tree_routes_the_prescribed_terminals():
     assert assign_bin(80, DILIHAT_BOUNDARIES) == "1"
     record = {"dilihat": "1", "harga": "1", "tipe": "Sneakers"}
     assert tree.route(record) == TERMINAL_NODE_IDS[2]
-    assert tree.predict_distribution(record).modal_class() == "1"
+    assert tree.distribution(tree.route(record)).modal_class() == "1"
 
     again = Tree.from_bytes(tree.document_bytes())
     assert again == tree and again.document_bytes() == tree.document_bytes()

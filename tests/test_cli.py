@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,11 @@ from chaidkit import load_model, save_model
 from chaidkit.cli import main
 from chaidkit.ingest import BinningSpec, ColumnSpec, DatasetSchema
 from conftest import sales_fixture_tree
+
+SHIPPED_DATA = Path(__file__).resolve().parent.parent / "data"
+#: sha256 of the model `chaidkit train` writes for the shipped data with
+#: default parameters. Any change to it is a change in trained models.
+SHIPPED_MODEL_SHA256 = "2e9f6fb6a7491d233328dde268546b4101885c3f2ce38103463efda4e1508d4d"
 
 
 def write_schema(path, *columns, delimiter=","):
@@ -138,6 +145,45 @@ class TestTrain:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("error: ")
+
+    def test_shipped_data_model_bytes_are_pinned(self, tmp_path, capsys):
+        rc, model = train(
+            tmp_path, SHIPPED_DATA / "schema.json", SHIPPED_DATA / "listings.csv"
+        )
+        assert rc == 0
+        capsys.readouterr()
+        assert hashlib.sha256(model.read_bytes()).hexdigest() == SHIPPED_MODEL_SHA256
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["train", "predict"])
+def test_non_finite_number_is_one_error_line(tmp_path, capsys, command, cell):
+    schema = write_schema(
+        tmp_path / "schema.json",
+        ColumnSpec(
+            name="x", role="predictor", kind="numeric",
+            binning=BinningSpec(strategy="equal_frequency", bin_count=2),
+        ),
+        cat("y", role="target"),
+    )
+    good = tmp_path / "good.csv"
+    good.write_text(
+        "x,y\n" + "".join(f"{v},{'u' if v <= 10 else 'v'}\n" for v in range(1, 21)),
+        encoding="utf-8",
+    )
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"x,y\n1,u\n{cell},v\n", encoding="utf-8")
+    if command == "train":
+        rc, _ = train(tmp_path, schema, bad)
+    else:
+        rc, model = train(tmp_path, schema, good)
+        assert rc == 0
+        capsys.readouterr()
+        out = tmp_path / "pred.csv"
+        rc = main(["predict", "--model", str(model), "--data", str(bad), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: row 2: column 'x': '{cell}' is not a finite number"]
 
 
 def setup_model(tmp_path, perfect):

@@ -10,22 +10,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaidkit import (
-    CategoryPartition,
     ChaidError,
     GrowthParams,
     PredictorSpec,
     Scale,
-    SplitCandidate,
-    StopReason,
     best_split,
     build_contingency,
     chi_square_test,
     evaluate_predictor,
     merge_categories,
-    partition_count_oracle,
-    should_stop,
 )
-from conftest import multi_records_from_counts, records_from_counts
+from chaidkit.core import CategoryPartition, SplitCandidate, StopReason, should_stop
+from conftest import (
+    multi_records_from_counts,
+    partition_count_oracle,
+    records_from_counts,
+)
 
 
 def spec(categories, scale=Scale.FREE, name="x", float_category=None):

@@ -13,12 +13,12 @@ from chaidkit import (
     GrowthParams,
     PredictorSpec,
     Scale,
-    StopReason,
     build_contingency,
     chi_square_test,
     grow_tree,
-    partition_count_oracle,
 )
+from chaidkit.core import StopReason
+from conftest import partition_count_oracle
 
 
 def _random_records(rng, n_rows, n_predictors, n_cats, n_classes):

@@ -10,18 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chaidkit import (
-    MISSING_LABEL,
-    BinningSpec,
-    ColumnSpec,
-    DataError,
-    DatasetSchema,
-    Scale,
-    assign_bin,
-    bin_numeric,
-    load_dataset,
-    load_schema,
-)
+from chaidkit import DataError, DatasetSchema, Scale, load_dataset, load_schema
+from chaidkit.core import MISSING_LABEL
+from chaidkit.ingest import BinningSpec, ColumnSpec, assign_bin, bin_numeric
 
 
 def cat_col(name, role="predictor", **kw):
@@ -138,6 +129,14 @@ class TestBinningSpec:
                 "computes its own boundaries",
             ),
             ({"strategy": "equal_width", "bin_count": 1}, "at least 2"),
+            (
+                {"strategy": "explicit_boundaries", "boundaries": (float("nan"),)},
+                "must be finite",
+            ),
+            (
+                {"strategy": "explicit_boundaries", "boundaries": (1.0, float("inf"))},
+                "must be finite",
+            ),
         ],
     )
     def test_invalid(self, kwargs, message):
@@ -284,6 +283,16 @@ class TestLoadDataset:
             DataError, match="row 2: column 'harga': cannot parse 'abc' as a number"
         ):
             load_text(data, schema)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("require_target", [True, False], ids=["train", "predict"])
+    def test_non_finite_number_cites_row_and_column(self, cell, require_target):
+        schema = make_schema(num_col("harga"), cat_col("y", role="target"))
+        data = f"harga,y\n100,u\n{cell},v\n300,u\n"
+        with pytest.raises(
+            DataError, match=f"row 2: column 'harga': '{cell}' is not a finite number"
+        ):
+            load_text(data, schema, require_target=require_target)
 
     def test_empty_file(self):
         schema = make_schema(cat_col("x"), cat_col("y", role="target"))

@@ -7,18 +7,9 @@ import random
 
 import pytest
 
-from chaidkit import (
-    CategoryPartition,
-    ClassDistribution,
-    GrowthParams,
-    ModelError,
-    NodeSplit,
-    StopReason,
-    Tree,
-    TreeNode,
-    load_model,
-    save_model,
-)
+from chaidkit import GrowthParams, ModelError, Tree, load_model, save_model
+from chaidkit.core import CategoryPartition, StopReason
+from chaidkit.model import ClassDistribution, NodeSplit, TreeNode
 from conftest import TERMINAL_NODE_IDS, random_tree, sales_fixture_tree
 
 
@@ -164,13 +155,6 @@ class TestDistributions:
             ClassDistribution(probabilities={"u": 0.6, "v": 0.3}, support=10)
         with pytest.raises(ModelError, match="support"):
             ClassDistribution(probabilities={"u": 1.0}, support=0)
-
-    def test_predict_distribution_composes(self):
-        tree = sales_fixture_tree()
-        record = {"dilihat": "2", "harga": "4"}
-        assert tree.predict_distribution(record) == tree.distribution(
-            tree.route(record)
-        )
 
     def test_node_lookup_bounds(self):
         tree = single_node_tree()

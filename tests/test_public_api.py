@@ -1,0 +1,59 @@
+"""The package namespace exports exactly the documented API."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import chaidkit
+
+DOCUMENTED = {
+    "__version__",
+    "ChaidError",
+    "DataError",
+    "ModelError",
+    "Scale",
+    "GrowthParams",
+    "PredictorSpec",
+    "ContingencyTable",
+    "build_contingency",
+    "merge_categories",
+    "evaluate_predictor",
+    "best_split",
+    "chi_square_test",
+    "chi_square_p_value",
+    "bonferroni_multiplier",
+    "grow_tree",
+    "train_tree",
+    "DatasetSchema",
+    "load_schema",
+    "load_dataset",
+    "Tree",
+    "load_model",
+    "save_model",
+}
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_all_is_the_documented_api():
+    assert len(chaidkit.__all__) == len(DOCUMENTED)
+    assert set(chaidkit.__all__) == DOCUMENTED
+
+
+def test_every_exported_name_resolves():
+    for name in chaidkit.__all__:
+        assert getattr(chaidkit, name) is not None, name
+
+
+def test_benchmark_imports_are_exported():
+    # perfbench/run.py imports these from the package root on every run.
+    source = (PERFBENCH / "run.py").read_text(encoding="utf-8")
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module == "chaidkit"
+        for alias in node.names
+    }
+    assert {"ChaidError", "DatasetSchema", "load_dataset", "load_model"} <= imported
+    assert imported <= set(chaidkit.__all__)
