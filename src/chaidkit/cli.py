@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Sequence
 
@@ -74,16 +75,13 @@ def build_parser() -> argparse.ArgumentParser:
     predict.add_argument("--model", required=True, help="model document to apply")
     predict.add_argument("--data", required=True, help="input records (delimited text)")
     predict.add_argument("--out", required=True, help="where to write predictions")
-    predict.add_argument("--verbose", action="store_true", help="extra detail on stderr")
 
     inspect = sub.add_parser("inspect", help="print the tree structure")
     inspect.add_argument("--model", required=True, help="model document to read")
-    inspect.add_argument("--verbose", action="store_true", help="extra detail on stderr")
 
     export = sub.add_parser("export-dot", help="write the tree as Graphviz DOT text")
     export.add_argument("--model", required=True, help="model document to read")
     export.add_argument("--out", help="output file (default: stdout)")
-    export.add_argument("--verbose", action="store_true", help="extra detail on stderr")
     return parser
 
 
@@ -111,8 +109,16 @@ def _fail(message: str) -> None:
     print(f"error: {flat}", file=sys.stderr)
 
 
-def _format_p(p: float) -> str:
-    return f"{p:.6g}"
+def _distribution_text(tree: Tree, node_id: int) -> str:
+    """A node's class probabilities as ``class:p`` pairs, in class order."""
+    dist = tree.distribution(node_id)
+    return " ".join(f"{cls}:{dist.probabilities[cls]:.6g}" for cls in tree.classes)
+
+
+def _split_predictors(tree: Tree) -> list[str]:
+    """The predictors the tree splits on, in first-use order."""
+    names = [node.split.predictor for node in tree.nodes if node.split is not None]
+    return list(dict.fromkeys(names))
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -126,13 +132,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         min_child_size=args.min_child,
     )
     if args.verbose:
-        print(
-            "params: "
-            f"alpha_merge={params.alpha_merge} alpha_split={params.alpha_split} "
-            f"max_depth={params.max_depth} min_parent_size={params.min_parent_size} "
-            f"min_child_size={params.min_child_size}",
-            file=sys.stderr,
-        )
+        fields = " ".join(f"{name}={value}" for name, value in asdict(params).items())
+        print(f"params: {fields}", file=sys.stderr)
         for name, count in dataset.missing_counts.items():
             if count:
                 print(f"missing values in {name!r}: {count}", file=sys.stderr)
@@ -141,31 +142,18 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     terminals = tree.terminal_nodes()
     print(f"nodes: {len(tree.nodes)}, terminal: {len(terminals)}, depth: {tree.depth}")
-    first_use: list[str] = []
-    for node in tree.nodes:
-        if node.split is not None and node.split.predictor not in first_use:
-            first_use.append(node.split.predictor)
-    print(f"split variables: {', '.join(first_use) if first_use else '(none)'}")
+    used = _split_predictors(tree)
+    print(f"split variables: {', '.join(used) if used else '(none)'}")
     for node in terminals:
-        dist = tree.distribution(node.id)
-        body = " ".join(
-            f"{cls}:{_format_p(dist.probabilities[cls])}" for cls in tree.classes
-        )
-        print(f"leaf {node.id}: n={dist.support} {body}")
+        print(f"leaf {node.id}: n={node.size} {_distribution_text(tree, node.id)}")
     return 0
-
-
-def _used_predictors(tree: Tree) -> set[str]:
-    return {
-        node.split.predictor for node in tree.nodes if node.split is not None
-    }
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
     tree = load_model(args.model)
     if tree.schema is None:
         raise ChaidError("model carries no schema; cannot parse raw data")
-    used = _used_predictors(tree)
+    used = _split_predictors(tree)
     echo = dict(tree.schema)
     echo["columns"] = [
         col
@@ -216,14 +204,10 @@ def cmd_inspect(args: argparse.Namespace) -> int:
                 label = f"{node.split.predictor} in {{{', '.join(group)}}}"
                 describe(child_id, label)
         else:
-            dist = tree.distribution(node.id)
-            body = " ".join(
-                f"{cls}:{_format_p(dist.probabilities[cls])}" for cls in tree.classes
-            )
             reason = node.stop_reason.value if node.stop_reason else "?"
             print(
                 f"{indent}node {node.id} [n={node.size}]{origin}; "
-                f"terminal ({reason}) {body}"
+                f"terminal ({reason}) {_distribution_text(tree, node.id)}"
             )
 
     describe(0, None)

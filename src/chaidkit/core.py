@@ -165,54 +165,28 @@ class StopReason(str, Enum):
     PURE_NODE = "pure_node"
 
 
-class _MergeState:
-    """Working state for one predictor's merge loop at one node.
+def _eligible_pairs(
+    groups: Sequence[Sequence[int]], scale: Scale, ord_index: Mapping[int, int]
+) -> list[tuple[int, int]]:
+    """Index pairs ``(i, j)``, ``i < j``, of the groups that may merge under ``scale``.
 
-    Groups are kept as index lists into the observed-category order, with a
-    parallel per-group count row over the observed target classes so pair
-    tests need only two list additions.
+    Groups hold indices into the observed-category order; ``ord_index``
+    ranks the non-floating ones, so adjacency is taken over that order.
     """
+    n = len(groups)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    if scale is Scale.FREE:
+        return pairs
+    spans: list[tuple[int, int] | None] = []
+    for group in groups:
+        ranks = [ord_index[m] for m in group if m in ord_index]
+        spans.append((min(ranks), max(ranks)) if ranks else None)
 
-    def __init__(
-        self,
-        observed: list[str],
-        rows: Sequence[Sequence[int]],
-        float_index: int | None,
-    ) -> None:
-        self.observed = observed
-        # Dense order index over non-floating categories, for adjacency.
-        ordered = [i for i in range(len(observed)) if i != float_index]
-        self.ord_index = {i: rank for rank, i in enumerate(ordered)}
-        self.groups: list[list[int]] = [[i] for i in range(len(observed))]
-        self.rows: list[list[int]] = [list(r) for r in rows]
+    def adjacent(a: tuple[int, int] | None, b: tuple[int, int] | None) -> bool:
+        # A group that is just the floating category may pair with anything.
+        return a is None or b is None or a[1] + 1 == b[0] or b[1] + 1 == a[0]
 
-    def eligible_pairs(self, scale: Scale) -> list[tuple[int, int]]:
-        n = len(self.groups)
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        if scale is Scale.FREE:
-            return pairs
-        spans: list[tuple[int, int] | None] = []
-        for group in self.groups:
-            ranks = [self.ord_index[m] for m in group if m in self.ord_index]
-            spans.append((min(ranks), max(ranks)) if ranks else None)
-
-        def adjacent(a: tuple[int, int] | None, b: tuple[int, int] | None) -> bool:
-            # A group that is just the floating category may pair with anything.
-            return a is None or b is None or a[1] + 1 == b[0] or b[1] + 1 == a[0]
-
-        return [(i, j) for i, j in pairs if adjacent(spans[i], spans[j])]
-
-    def merge(self, i: int, j: int) -> None:
-        self.groups[i] = self.groups[i] + self.groups[j]
-        self.rows[i] = [a + b for a, b in zip(self.rows[i], self.rows[j])]
-        del self.groups[j]
-        del self.rows[j]
-
-    def partition(self) -> CategoryPartition:
-        ordered = sorted(self.groups, key=min)
-        return CategoryPartition(
-            tuple(tuple(self.observed[m] for m in sorted(g)) for g in ordered)
-        )
+    return [(i, j) for i, j in pairs if adjacent(spans[i], spans[j])]
 
 
 def _pair_p_value(row_a: Sequence[int], row_b: Sequence[int]) -> float:
@@ -266,8 +240,8 @@ def merge_categories(
     """Merge a predictor's observed categories until every eligible pair differs.
 
     ``table`` is the node's per-category table, one original category per
-    row, as :func:`build_contingency` returns it without a partition; its
-    rows are taken in the order of ``predictor.categories``.
+    row, as :func:`build_contingency` returns it; its rows are taken in the
+    order of ``predictor.categories``.
 
     Starting from singleton groups, repeatedly test each eligible pair of
     groups on its two-row sub-table and merge the pair with the largest
@@ -291,15 +265,25 @@ def merge_categories(
     scale = _effective_scale(predictor, observed)
     float_index = observed.index(predictor.float_category) if scale is Scale.FLOAT else None
 
-    state = _MergeState(observed, [counts for _, counts in rows], float_index)
-    while len(state.groups) > 2:
-        pairs = state.eligible_pairs(scale)
-        p_values = [_pair_p_value(state.rows[i], state.rows[j]) for i, j in pairs]
+    # Dense order index over non-floating categories, for adjacency.
+    ordered = [i for i in range(len(observed)) if i != float_index]
+    ord_index = {i: position for position, i in enumerate(ordered)}
+    # Each group is a list of indices into ``observed``, with its count row
+    # over the target classes alongside, so pair tests need two additions.
+    # Group j always folds into group i < j, so groups stay ordered by their
+    # first category.
+    groups = [[i] for i in range(len(observed))]
+    counts = [list(row) for _, row in rows]
+    while len(groups) > 2:
+        pairs = _eligible_pairs(groups, scale, ord_index)
+        p_values = [_pair_p_value(counts[i], counts[j]) for i, j in pairs]
         best = max(range(len(pairs)), key=p_values.__getitem__)
         if p_values[best] <= alpha_merge:
             break
-        state.merge(*pairs[best])
-    return state.partition()
+        i, j = pairs[best]
+        groups[i] += groups.pop(j)
+        counts[i] = [a + b for a, b in zip(counts[i], counts.pop(j))]
+    return CategoryPartition(tuple(tuple(observed[m] for m in sorted(g)) for g in groups))
 
 
 def evaluate_predictor(

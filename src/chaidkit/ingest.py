@@ -3,8 +3,9 @@
 A schema declares each column's role (target, predictor, ignored), kind
 (categorical or numeric), scale, and, for numeric columns, a binning rule.
 Loading turns every parsed column into category labels: numeric values are
-binned into interval labels "1".."k", missing cells become the shared
-missing label when the column's scale allows it, and the realized bin
+binned into interval labels "1".."k", blank cells of a float-scale
+predictor become its floating category (blank cells of other predictors
+become the missing label at prediction time), and the realized bin
 boundaries are kept so the exact same labeling can be replayed at
 prediction time from the model document alone.
 
@@ -351,7 +352,7 @@ class Dataset:
 
     ``boundaries`` maps each parsed numeric column to its realized bin
     boundaries; ``missing_counts`` reports per-column missing cells (for a
-    float-scale column these became the missing label). ``header`` and
+    float-scale predictor these became its floating category). ``header`` and
     ``raw_rows`` are kept only when loading asked for them, so prediction
     output can echo the input verbatim.
     """
@@ -370,14 +371,7 @@ class Dataset:
     @property
     def classes(self) -> tuple[str, ...]:
         """Target class universe, in declared (or boundary) order."""
-        target = self.schema.target
-        if target.kind == "numeric":
-            bounds = self.boundaries.get(target.name, ())
-            return tuple(str(i) for i in range(1, len(bounds) + 2))
-        if target.categories is not None:
-            return target.categories
-        observed = {rec[target.name] for rec in self.records if target.name in rec}
-        return tuple(sorted(observed))
+        return tuple(self._labels(self.schema.target))
 
     def predictor_specs(self) -> tuple[PredictorSpec, ...]:
         """One PredictorSpec per predictor column, in schema order."""
@@ -393,22 +387,22 @@ class Dataset:
             )
         return tuple(specs)
 
-    def _universe(self, col: ColumnSpec) -> tuple[str, ...]:
-        float_cat = col.effective_float_category
+    def _labels(self, col: ColumnSpec) -> list[str]:
+        """A column's ordered labels: bins, else the declared list, else the sorted observed."""
         if col.kind == "numeric":
             bounds = self.boundaries.get(col.name, ())
-            universe = [str(i) for i in range(1, len(bounds) + 2)]
-        elif col.categories is not None:
-            universe = [c for c in col.categories if c != float_cat]
-        else:
-            observed = {rec[col.name] for rec in self.records if col.name in rec}
-            observed.discard(MISSING_LABEL)
-            universe = sorted(observed)
+            return [str(i) for i in range(1, len(bounds) + 2)]
+        if col.categories is not None:
+            return list(col.categories)
+        return sorted({rec[col.name] for rec in self.records if col.name in rec})
+
+    def _universe(self, col: ColumnSpec) -> tuple[str, ...]:
+        """A predictor's categories: its labels with the floating category moved last."""
+        float_cat = col.effective_float_category
+        universe = [label for label in self._labels(col) if label != float_cat]
         if float_cat is not None:
             universe.append(float_cat)
-        if not universe:
-            universe = [MISSING_LABEL]
-        return tuple(universe)
+        return tuple(universe) or (MISSING_LABEL,)
 
     def schema_echo(self) -> dict:
         """Schema document with realized boundaries and category universes baked in.
@@ -477,10 +471,11 @@ def load_dataset(
 ) -> Dataset:
     """Load delimited text into categorical records under a schema.
 
+    A float-scale predictor's missing cells become its floating category.
     With ``require_target`` (training), the target column must be present,
     missing values are only tolerated in float-scale predictors, and
     declared category lists are enforced. Without it (prediction), the
-    target is not parsed and any missing predictor cell becomes the
+    target is not parsed and any other missing predictor cell becomes the
     missing label for routing to deal with. Numeric cells that fail to
     parse, or parse to ``nan`` or an infinity, are always an error citing
     the data row and column.
@@ -517,8 +512,11 @@ def load_dataset(
             and (not require_target or col.effective_scale is Scale.FLOAT)
         )
         if missing and not missing_ok:
-            problems.append(_missing_report(col.name, missing))
+            shown = _first_few([str(r + 1) for r in missing])
+            problems.append(f"column {col.name!r}: missing value at row(s) {shown}")
             continue
+        # A float-scale predictor's blank cells are its floating category.
+        blank = col.effective_float_category or MISSING_LABEL
 
         if col.kind == "numeric":
             values: list[float] = []
@@ -541,7 +539,7 @@ def load_dataset(
             assert col.binning is not None
             bounds = _compute_boundaries(values, col.binning)
             boundaries[col.name] = bounds
-            labels = [MISSING_LABEL] * n
+            labels = [blank] * n
             for r, value in zip(value_rows, values):
                 labels[r] = assign_bin(value, bounds)
             columns[col.name] = labels
@@ -554,18 +552,10 @@ def load_dataset(
                     if cell != "" and cell not in declared
                 ]
                 if bad:
-                    shown = ", ".join(
-                        f"{cell!r} at row {r + 1}" for r, cell in bad[:_MAX_REPORTED_ROWS]
-                    )
-                    extra = len(bad) - min(len(bad), _MAX_REPORTED_ROWS)
-                    tail = f" (+{extra} more)" if extra else ""
-                    problems.append(
-                        f"column {col.name!r}: undeclared category {shown}{tail}"
-                    )
+                    shown = _first_few([f"{cell!r} at row {r + 1}" for r, cell in bad])
+                    problems.append(f"column {col.name!r}: undeclared category {shown}")
                     continue
-            columns[col.name] = [
-                MISSING_LABEL if cell == "" else cell for cell in cells
-            ]
+            columns[col.name] = [blank if cell == "" else cell for cell in cells]
 
     if problems:
         raise DataError("; ".join(problems))
@@ -583,8 +573,8 @@ def load_dataset(
     )
 
 
-def _missing_report(name: str, rows: Sequence[int]) -> str:
-    shown = ", ".join(str(r + 1) for r in rows[:_MAX_REPORTED_ROWS])
-    extra = len(rows) - min(len(rows), _MAX_REPORTED_ROWS)
-    tail = f" (+{extra} more)" if extra else ""
-    return f"column {name!r}: missing value at row(s) {shown}{tail}"
+def _first_few(items: Sequence[str]) -> str:
+    """The first few items, comma-separated, with a count of the rest."""
+    shown = ", ".join(items[:_MAX_REPORTED_ROWS])
+    extra = len(items) - _MAX_REPORTED_ROWS
+    return f"{shown} (+{extra} more)" if extra > 0 else shown

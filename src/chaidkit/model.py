@@ -10,7 +10,7 @@ turn their training class counts into a probability distribution.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -212,13 +212,7 @@ class Tree:
             "format_version": MODEL_FORMAT_VERSION,
             "target": self.target,
             "classes": list(self.classes),
-            "growth_params": {
-                "alpha_merge": self.growth_params.alpha_merge,
-                "alpha_split": self.growth_params.alpha_split,
-                "max_depth": self.growth_params.max_depth,
-                "min_parent_size": self.growth_params.min_parent_size,
-                "min_child_size": self.growth_params.min_child_size,
-            },
+            "growth_params": asdict(self.growth_params),
             "predictors": [
                 {
                     "name": spec.name,
@@ -268,12 +262,9 @@ class Tree:
             )
         try:
             params_doc = document["growth_params"]
+            # Each field takes the type of its default: float alphas, int sizes.
             params = GrowthParams(
-                alpha_merge=float(params_doc["alpha_merge"]),
-                alpha_split=float(params_doc["alpha_split"]),
-                max_depth=int(params_doc["max_depth"]),
-                min_parent_size=int(params_doc["min_parent_size"]),
-                min_child_size=int(params_doc["min_child_size"]),
+                **{f.name: type(f.default)(params_doc[f.name]) for f in fields(GrowthParams)}
             )
             predictors = tuple(
                 PredictorSpec(
@@ -300,7 +291,7 @@ class Tree:
             )
         except ModelError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ModelError(f"malformed model document: {exc}") from exc
         return tree
 

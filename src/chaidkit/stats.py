@@ -160,22 +160,18 @@ def build_contingency(
     records: Iterable[Mapping[str, object]],
     predictor: str,
     target: str,
-    partition: Sequence[Sequence[str]] | None = None,
     *,
     class_order: Sequence[str] | None = None,
 ) -> ContingencyTable:
-    """Count joint occurrences of a predictor's (merged) categories and target classes.
+    """Count joint occurrences of a predictor's categories and target classes.
 
-    Without ``partition``, every observed category is its own row, in sorted
-    category order. With it, the rows are summed per group as
-    :meth:`ContingencyTable.merge_rows` does, in partition order. Columns
-    follow ``class_order`` (or sorted class order). Zero rows and columns
-    are dropped.
+    Every observed category is its own row, in sorted category order;
+    :meth:`ContingencyTable.merge_rows` sums the rows per group of a
+    partition. Columns follow ``class_order`` (or sorted class order). Zero
+    rows and columns are dropped.
 
     Raises:
-        ChaidError: ``"empty node"`` for an empty record set, or
-            ``"value outside partition"`` when a record's category is not
-            covered by the partition.
+        ChaidError: ``"empty node"`` for an empty record set.
     """
     pair_counts: dict[tuple[str, str], int] = {}
     classes: list[str] = list(class_order) if class_order is not None else []
@@ -203,8 +199,7 @@ def build_contingency(
 
     cats = sorted(seen_cats)
     counts = [[pair_counts.get((c, cls), 0) for cls in classes] for c in cats]
-    table = ContingencyTable.from_counts(cats, classes, counts)
-    return table if partition is None else table.merge_rows(partition)
+    return ContingencyTable.from_counts(cats, classes, counts)
 
 
 def chi_square_p_value(statistic: float, df: int) -> float:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from chaidkit import load_model, save_model
+from chaidkit import Scale, load_model, save_model
 from chaidkit.cli import main
 from chaidkit.ingest import BinningSpec, ColumnSpec, DatasetSchema
 from conftest import sales_fixture_tree
@@ -255,6 +255,59 @@ class TestPredict:
         assert "carries no schema" in capsys.readouterr().err
 
 
+class TestCustomFloatCategory:
+    """A float predictor whose floating category is "c" rather than the missing label."""
+
+    ROWS = ["a,u", "b,v", "c,u", "d,v"] * 10
+
+    def schema(self, tmp_path, categories):
+        return write_schema(
+            tmp_path / "schema.json",
+            cat("x", scale=Scale.FLOAT, float_category="c", categories=categories),
+            cat("y", role="target"),
+        )
+
+    def write(self, path, rows):
+        path.write_text("x,y\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("categories", [None, ("a", "b", "c", "d")])
+    def test_written_floating_category_is_listed_once_and_last(
+        self, tmp_path, capsys, categories
+    ):
+        data = self.write(tmp_path / "train.csv", self.ROWS)
+        rc, model = train(tmp_path, self.schema(tmp_path, categories), data)
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        (spec,) = load_model(model).predictors
+        assert spec.categories == ("a", "b", "d", "c")
+        assert spec.float_category == "c"
+
+    @pytest.mark.parametrize("categories", [None, ("a", "b", "c", "d")])
+    def test_blank_cells_are_the_floating_category(self, tmp_path, capsys, categories):
+        schema = self.schema(tmp_path, categories)
+        written = self.write(tmp_path / "written.csv", self.ROWS)
+        blank = self.write(
+            tmp_path / "blank.csv", [row.replace("c,", ",") for row in self.ROWS]
+        )
+        rc, model = train(tmp_path, schema, written)
+        assert rc == 0
+        written_bytes = model.read_bytes()
+        rc, model = train(tmp_path, schema, blank)
+        assert rc == 0
+        assert model.read_bytes() == written_bytes
+        assert load_model(model).root.split is not None
+        capsys.readouterr()
+
+        rows = self.write(tmp_path / "rows.csv", ["c,u", ",u"])
+        out = tmp_path / "pred.csv"
+        rc = main(["predict", "--model", str(model), "--data", str(rows), "--out", str(out)])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        c_row, blank_row = out.read_text(encoding="utf-8").splitlines()[1:]
+        assert blank_row.split(",")[2:] == c_row.split(",")[2:]
+
+
 class TestInspect:
     def test_fixture_structure(self, tmp_path, capsys):
         model = tmp_path / "model.json"
@@ -281,6 +334,20 @@ class TestInspect:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 3
         assert "split on x" in lines[0]
+
+    @pytest.mark.parametrize(
+        "field", ['"max_depth": 3', '"depth": 1'], ids=["max_depth", "node_depth"]
+    )
+    def test_overflowing_integer_is_one_error_line(self, tmp_path, capsys, field):
+        text = sales_fixture_tree().document_bytes().decode("utf-8")
+        assert field in text
+        name = field.split(":")[0]
+        model = tmp_path / "model.json"
+        model.write_text(text.replace(field, f"{name}: 1e999", 1), encoding="utf-8")
+        assert main(["inspect", "--model", str(model)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: malformed model document")
 
 
 class TestExportDot:

@@ -255,8 +255,8 @@ class TestEvaluatePredictor:
             return
         assert candidate is not None
         recount = build_contingency(
-            records, "x", "y", candidate.partition.groups, class_order=class_order
-        )
+            records, "x", "y", class_order=class_order
+        ).merge_rows(candidate.partition.groups)
         reference = chi_square_test(recount)
         assert candidate.statistic == reference.statistic
         assert candidate.df == reference.degrees_of_freedom

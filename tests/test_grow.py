@@ -101,9 +101,8 @@ class TestGrowProperties:
             subset = members[node.id]
             spec = spec_by_name[node.split.predictor]
             table = build_contingency(
-                subset, node.split.predictor, "y", node.split.partition,
-                class_order=tree.classes,
-            )
+                subset, node.split.predictor, "y", class_order=tree.classes
+            ).merge_rows(node.split.partition.groups)
             result = chi_square_test(table)
             observed = {r[spec.name] for r in subset}
             scale = spec.scale

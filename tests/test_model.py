@@ -245,6 +245,11 @@ class TestDocumentValidation:
             (lambda d: d["nodes"][0].update(children=[1, 2, 3, 7]), "absent from the children"),
             (lambda d: d.update(classes=["1", "1", "2"]), "duplicate target class"),
             (lambda d: d.update(nodes=[]), "no nodes"),
+            (
+                lambda d: d["growth_params"].update(max_depth=float("inf")),
+                "malformed model document",
+            ),
+            (lambda d: d["nodes"][1].update(depth=float("inf")), "malformed model document"),
         ],
     )
     def test_corrupted_documents_are_rejected(self, mutate, message):

@@ -84,7 +84,7 @@ class TestContingency:
             ("C", "u"): 4, ("C", "v"): 4,
         }
         records = records_from_counts(counts)
-        merged = build_contingency(records, "x", "y", [("A", "B"), ("C",)])
+        merged = build_contingency(records, "x", "y").merge_rows([("A", "B"), ("C",)])
         plain = build_contingency(records, "x", "y")
         for j in range(2):
             assert merged.counts[0][j] == plain.counts[0][j] + plain.counts[1][j]
@@ -97,7 +97,7 @@ class TestContingency:
     def test_value_outside_partition(self):
         records = records_from_counts({("A", "u"): 1, ("D", "u"): 1})
         with pytest.raises(ChaidError, match="value outside partition"):
-            build_contingency(records, "x", "y", [("A", "B")])
+            build_contingency(records, "x", "y").merge_rows([("A", "B")])
 
     def test_undeclared_class_with_explicit_order(self):
         records = records_from_counts({("A", "u"): 1})
