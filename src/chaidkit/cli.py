@@ -172,6 +172,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
             + ["leaf_id", "predicted_class"]
             + [f"p_{cls}" for cls in tree.classes]
         )
+        # Every row routed to a leaf ends in the same cells: format them once.
+        leaf_cells: dict[int, list[str]] = {}
         for row_number, (raw, record) in enumerate(
             zip(dataset.raw_rows, dataset.records), start=1
         ):
@@ -179,12 +181,13 @@ def cmd_predict(args: argparse.Namespace) -> int:
             leaf_id = tree.route(record, warn=notes.append)
             for note in notes:
                 print(f"warning: row {row_number}: {note}", file=sys.stderr)
-            dist = tree.distribution(leaf_id)
-            writer.writerow(
-                list(raw)
-                + [str(leaf_id), dist.modal_class()]
-                + [repr(dist.probabilities[cls]) for cls in tree.classes]
-            )
+            tail = leaf_cells.get(leaf_id)
+            if tail is None:
+                dist = tree.distribution(leaf_id)
+                tail = leaf_cells[leaf_id] = [str(leaf_id), dist.modal_class()] + [
+                    repr(dist.probabilities[cls]) for cls in tree.classes
+                ]
+            writer.writerow(list(raw) + tail)
     return 0
 
 

@@ -15,6 +15,7 @@ from typing import Collection, Iterator, Mapping, Sequence
 
 from .errors import ChaidError
 from .stats import (
+    CodedRecords,
     ContingencyTable,
     Scale,
     bonferroni_multiplier,
@@ -252,7 +253,8 @@ def merge_categories(
 
     Adjacency is taken over the categories observed at the node, so the
     returned groups are contiguous runs of the observed order. Ties on the
-    largest p-value break toward the earliest pair in group order.
+    largest p-value break toward the earliest pair in group order. A pair's
+    p-value is computed once and kept until one of its two groups merges.
     """
     rank = {cat: i for i, cat in enumerate(predictor.categories)}
     for (cat,) in table.row_labels:
@@ -271,23 +273,32 @@ def merge_categories(
     # Each group is a list of indices into ``observed``, with its count row
     # over the target classes alongside, so pair tests need two additions.
     # Group j always folds into group i < j, so groups stay ordered by their
-    # first category.
+    # first category, and a group's first category names it in ``p_cache``.
     groups = [[i] for i in range(len(observed))]
     counts = [list(row) for _, row in rows]
+    p_cache: dict[tuple[int, int], float] = {}
     while len(groups) > 2:
-        pairs = _eligible_pairs(groups, scale, ord_index)
-        p_values = [_pair_p_value(counts[i], counts[j]) for i, j in pairs]
-        best = max(range(len(pairs)), key=p_values.__getitem__)
-        if p_values[best] <= alpha_merge:
+        best: tuple[int, int] | None = None
+        best_p = -1.0
+        for i, j in _eligible_pairs(groups, scale, ord_index):
+            key = (groups[i][0], groups[j][0])
+            p = p_cache.get(key)
+            if p is None:
+                p = p_cache[key] = _pair_p_value(counts[i], counts[j])
+            if p > best_p:
+                best, best_p = (i, j), p
+        if best is None or best_p <= alpha_merge:
             break
-        i, j = pairs[best]
+        i, j = best
+        merged = {groups[i][0], groups[j][0]}
+        p_cache = {k: v for k, v in p_cache.items() if merged.isdisjoint(k)}
         groups[i] += groups.pop(j)
         counts[i] = [a + b for a, b in zip(counts[i], counts.pop(j))]
     return CategoryPartition(tuple(tuple(observed[m] for m in sorted(g)) for g in groups))
 
 
 def evaluate_predictor(
-    records: Sequence[Mapping[str, object]],
+    records: Sequence[Mapping[str, object]] | CodedRecords,
     predictor: PredictorSpec,
     target: str,
     alpha_merge: float,
@@ -302,7 +313,7 @@ def evaluate_predictor(
     ``c`` observed categories could have been reduced to ``r`` groups
     (capped at 1). Returns ``None`` when no split is possible: a single
     merged group, a single observed category, or a single observed target
-    class.
+    class. ``records`` may be a coded node, as for :func:`build_contingency`.
     """
     table = build_contingency(records, predictor.name, target, class_order=class_order)
     partition = merge_categories(table, predictor, alpha_merge)
@@ -326,7 +337,7 @@ def evaluate_predictor(
 
 
 def best_split(
-    records: Sequence[Mapping[str, object]],
+    records: Sequence[Mapping[str, object]] | CodedRecords,
     predictors: Sequence[PredictorSpec],
     target: str,
     params: GrowthParams,
@@ -337,7 +348,8 @@ def best_split(
 
     Returns ``None`` unless the winner's adjusted p-value is at most
     ``params.alpha_split``. Ties break by smaller raw p-value, then by
-    predictor position in ``predictors``.
+    predictor position in ``predictors``. ``records`` may be a coded node,
+    as for :func:`build_contingency`.
     """
     best: SplitCandidate | None = None
     best_key: tuple[float, float, int] | None = None

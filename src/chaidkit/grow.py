@@ -9,7 +9,7 @@ predictions can be made from the model file alone.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from typing import Mapping, Sequence
 
 from .core import (
@@ -21,6 +21,7 @@ from .core import (
 from .errors import ChaidError
 from .ingest import Dataset
 from .model import NodeSplit, Tree, TreeNode
+from .stats import CodedRecords
 
 __all__ = ["grow_tree", "train_tree"]
 
@@ -39,7 +40,8 @@ def grow_tree(
     Node ids are assigned in breadth-first creation order, with children
     ordered like their category groups, so identical inputs always produce
     the identical tree. ``class_order`` fixes the emitted class order and
-    defaults to the sorted observed classes.
+    defaults to the sorted observed classes. The records are coded once,
+    at the root; every node is then a list of row indices into them.
     """
     if not records:
         raise ChaidError("empty dataset")
@@ -51,36 +53,21 @@ def grow_tree(
     if target in names:
         raise ChaidError(f"target {target!r} is also declared as a predictor")
 
-    observed_classes: Counter[str] = Counter()
-    for index, rec in enumerate(records):
-        if target not in rec:
-            raise ChaidError(f"record {index} is missing the target column {target!r}")
-        observed_classes[str(rec[target])] += 1
-    if class_order is None:
-        classes = tuple(sorted(observed_classes))
-    else:
-        classes = tuple(str(c) for c in class_order)
-        if len(set(classes)) != len(classes):
-            raise ChaidError("duplicate class in class order")
-        undeclared = set(observed_classes) - set(classes)
-        if undeclared:
-            raise ChaidError(
-                f"target class {sorted(undeclared)[0]!r} not in declared class order"
-            )
+    root = CodedRecords.encode(
+        records, target, {spec.name: spec.categories for spec in predictors}, class_order
+    )
+    classes = root.classes
 
     nodes: list[TreeNode] = []
     next_id = 1
-    queue: deque[tuple[int, int, int | None, list[int]]] = deque()
-    queue.append((0, 0, None, list(range(len(records)))))
+    queue: deque[tuple[int, int, int | None, Sequence[int]]] = deque()
+    queue.append((0, 0, None, root.rows))
     while queue:
-        node_id, depth, parent, indices = queue.popleft()
-        subset = [records[i] for i in indices]
-        counts = Counter(str(rec[target]) for rec in subset)
-        class_counts = {cls: counts[cls] for cls in classes if counts[cls]}
-        candidate = best_split(
-            subset, predictors, target, params, class_order=classes
-        )
-        reason = should_stop(depth, len(subset), len(class_counts), candidate, params)
+        node_id, depth, parent, rows = queue.popleft()
+        node = root.at(rows)
+        class_counts = node.class_counts()
+        candidate = best_split(node, predictors, target, params, class_order=classes)
+        reason = should_stop(depth, len(rows), len(class_counts), candidate, params)
         if reason is not None:
             nodes.append(
                 TreeNode(
@@ -96,14 +83,10 @@ def grow_tree(
             continue
         assert candidate is not None
         groups = candidate.partition.groups
-        member_group = {cat: gi for gi, group in enumerate(groups) for cat in group}
-        child_indices: list[list[int]] = [[] for _ in groups]
         pred_name = candidate.predictor.name
-        for i in indices:
-            child_indices[member_group[str(records[i][pred_name])]].append(i)
         child_ids = tuple(range(next_id, next_id + len(groups)))
         next_id += len(groups)
-        for child_id, child_rows in zip(child_ids, child_indices):
+        for child_id, child_rows in zip(child_ids, node.partition_rows(pred_name, groups)):
             queue.append((child_id, depth + 1, node_id, child_rows))
         nodes.append(
             TreeNode(

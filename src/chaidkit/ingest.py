@@ -546,6 +546,9 @@ def load_dataset(
         else:
             declared = set(col.categories) if col.categories is not None else None
             if declared is not None and require_target:
+                if col.effective_float_category is not None:
+                    # Blank cells become the floating category; it may be written too.
+                    declared.add(col.effective_float_category)
                 bad = [
                     (r, cell)
                     for r, cell in enumerate(cells)

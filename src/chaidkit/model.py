@@ -152,7 +152,9 @@ class Tree:
         (a category unseen in training), is handled per ``on_novel``:
         ``"largest_child"`` follows the child with the most training
         records (ties to the smaller node id) and reports the detour
-        through ``warn``; ``"error"`` raises instead.
+        through ``warn``; ``"error"`` raises instead. The missing label
+        and a float predictor's floating category, which blank cells
+        become, are reported as missing values.
         """
         if on_novel not in ("largest_child", "error"):
             raise ModelError(f"unknown novel-category policy {on_novel!r}")
@@ -169,7 +171,7 @@ class Tree:
                         child_id = node.children[index]
                         break
             if child_id is None:
-                if raw is None or str(raw) == MISSING_LABEL:
+                if raw is None or str(raw) in self._missing_labels(split.predictor):
                     cause = f"missing value for predictor {split.predictor!r}"
                 else:
                     cause = (
@@ -183,6 +185,14 @@ class Tree:
                     warn(f"{cause}; following the largest child (node {child_id})")
             node = self.nodes[child_id]
         return node.id
+
+    def _missing_labels(self, predictor: str) -> set[str]:
+        """The labels a blank cell of ``predictor`` may carry: its floating category too."""
+        labels = {MISSING_LABEL}
+        for spec in self.predictors:
+            if spec.name == predictor and spec.float_category is not None:
+                labels.add(spec.float_category)
+        return labels
 
     def _largest_child(self, node: TreeNode) -> int:
         best_id = node.children[0]

@@ -11,7 +11,8 @@ no synchronisation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
@@ -21,6 +22,7 @@ __all__ = [
     "Scale",
     "ContingencyTable",
     "ChiSquareResult",
+    "CodedRecords",
     "build_contingency",
     "chi_square_p_value",
     "chi_square_test",
@@ -156,8 +158,126 @@ class ChiSquareResult:
             raise ChaidError("p-value outside [0, 1]")
 
 
+@dataclass(frozen=True)
+class CodedRecords:
+    """Records coded once as integers, and the rows of them at one tree node.
+
+    ``classes`` orders the target classes and ``class_codes[i]`` is the
+    index of record ``i``'s class in it. For each coded column,
+    ``categories[name]`` orders its categories and ``keys[name][i]`` is
+    ``category rank * len(classes) + class code`` of record ``i``, so one
+    counting pass over a node's keys gives its contingency table. ``rows``
+    lists the indices of the node's records; :meth:`at` moves to another
+    node without coding anything again.
+    """
+
+    classes: tuple[str, ...]
+    class_codes: list[int]
+    categories: dict[str, tuple[str, ...]]
+    keys: dict[str, list[int]]
+    rows: Sequence[int]
+
+    @classmethod
+    def encode(
+        cls,
+        records: Sequence[Mapping[str, object]],
+        target: str,
+        columns: Mapping[str, Sequence[str] | None],
+        class_order: Sequence[str] | None = None,
+    ) -> "CodedRecords":
+        """Code ``records`` once, at the root node, which holds all of them.
+
+        ``columns`` maps each predictor column to code to its ordered
+        categories, or to ``None`` for its sorted observed values. Classes
+        follow ``class_order``, or the sorted observed classes.
+
+        Raises:
+            ChaidError: a record without the target or a coded column, a
+                duplicate or missing class in ``class_order``, or a value
+                outside a column's given categories.
+        """
+        labels = _column(records, target, "the target column")
+        observed = set(labels)
+        if class_order is None:
+            classes = tuple(sorted(observed))
+        else:
+            classes = tuple(str(c) for c in class_order)
+            if len(set(classes)) != len(classes):
+                raise ChaidError("duplicate class in class order")
+            undeclared = observed.difference(classes)
+            if undeclared:
+                raise ChaidError(
+                    f"target class {min(undeclared)!r} not in declared class order"
+                )
+        code = {label: i for i, label in enumerate(classes)}
+        class_codes = list(map(code.__getitem__, labels))
+        categories: dict[str, tuple[str, ...]] = {}
+        keys: dict[str, list[int]] = {}
+        for name, universe in columns.items():
+            values = _column(records, name, "column")
+            seen = set(values)
+            cats = tuple(sorted(seen)) if universe is None else tuple(universe)
+            undeclared = seen.difference(cats)
+            if undeclared:
+                raise ChaidError(
+                    f"category {min(undeclared)!r} is not declared for predictor {name!r}"
+                )
+            base = {cat: rank * len(classes) for rank, cat in enumerate(cats)}
+            categories[name] = cats
+            keys[name] = [base[v] + c for v, c in zip(values, class_codes)]
+        return cls(classes, class_codes, categories, keys, range(len(labels)))
+
+    def at(self, rows: Sequence[int]) -> "CodedRecords":
+        """The same coding at the node holding records ``rows``."""
+        return replace(self, rows=rows)
+
+    def table(self, name: str) -> ContingencyTable:
+        """The node's per-category table of column ``name``, in category order.
+
+        Raises:
+            ChaidError: ``"empty node"`` when the node holds no records.
+        """
+        if not self.rows:
+            raise ChaidError("empty node")
+        n_classes = len(self.classes)
+        cats = self.categories[name]
+        grid = [[0] * n_classes for _ in cats]
+        for key, count in Counter(map(self.keys[name].__getitem__, self.rows)).items():
+            grid[key // n_classes][key % n_classes] = count
+        return ContingencyTable.from_counts(cats, self.classes, grid)
+
+    def class_counts(self) -> dict[str, int]:
+        """The node's record count per observed class, in class order."""
+        counts = Counter(map(self.class_codes.__getitem__, self.rows))
+        return {cls: counts[code] for code, cls in enumerate(self.classes) if counts[code]}
+
+    def partition_rows(
+        self, name: str, groups: Sequence[Sequence[str]]
+    ) -> list[list[int]]:
+        """The node's rows, one list per group of column ``name``'s categories.
+
+        Every category the node holds must fall in one of ``groups``.
+        """
+        slot_of = {cat: gi for gi, group in enumerate(groups) for cat in group}
+        slot = [slot_of.get(cat) for cat in self.categories[name] for _ in self.classes]
+        keys = self.keys[name]
+        parts: list[list[int]] = [[] for _ in groups]
+        for i in self.rows:
+            parts[slot[keys[i]]].append(i)
+        return parts
+
+
+def _column(records: Sequence[Mapping[str, object]], name: str, what: str) -> list[str]:
+    """Every record's value of ``name`` as text, in record order."""
+    try:
+        return [str(rec[name]) for rec in records]
+    except KeyError:
+        index = next(i for i, rec in enumerate(records) if name not in rec)
+        raise ChaidError(f"record {index} is missing {what} {name!r}") from None
+
+
 def build_contingency(
-    records: Iterable[Mapping[str, object]],
+    records: Iterable[Mapping[str, object]] | CodedRecords,
     predictor: str,
     target: str,
     *,
@@ -168,38 +288,16 @@ def build_contingency(
     Every observed category is its own row, in sorted category order;
     :meth:`ContingencyTable.merge_rows` sums the rows per group of a
     partition. Columns follow ``class_order`` (or sorted class order). Zero
-    rows and columns are dropped.
+    rows and columns are dropped. ``records`` may also be a coded node
+    (:class:`CodedRecords`): its coding then fixes the target, the class
+    order and the row order, and the node is counted without recoding.
 
     Raises:
         ChaidError: ``"empty node"`` for an empty record set.
     """
-    pair_counts: dict[tuple[str, str], int] = {}
-    classes: list[str] = list(class_order) if class_order is not None else []
-    seen_classes = set(classes)
-    seen_cats: set[str] = set()
-    n = 0
-    for rec in records:
-        n += 1
-        try:
-            cat = str(rec[predictor])
-            cls = str(rec[target])
-        except KeyError as exc:
-            raise ChaidError(f"record is missing column {exc.args[0]!r}") from exc
-        seen_cats.add(cat)
-        if cls not in seen_classes:
-            if class_order is not None:
-                raise ChaidError(f"target class {cls!r} not in declared class order")
-            seen_classes.add(cls)
-            classes.append(cls)
-        pair_counts[(cat, cls)] = pair_counts.get((cat, cls), 0) + 1
-    if n == 0:
-        raise ChaidError("empty node")
-    if class_order is None:
-        classes = sorted(classes)
-
-    cats = sorted(seen_cats)
-    counts = [[pair_counts.get((c, cls), 0) for cls in classes] for c in cats]
-    return ContingencyTable.from_counts(cats, classes, counts)
+    if not isinstance(records, CodedRecords):
+        records = CodedRecords.encode(list(records), target, {predictor: None}, class_order)
+    return records.table(predictor)
 
 
 def chi_square_p_value(statistic: float, df: int) -> float:

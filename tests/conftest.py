@@ -8,8 +8,8 @@ from typing import Mapping, Sequence
 
 from scipy.integrate import quad
 
-from chaidkit import ChaidError, GrowthParams, PredictorSpec, Scale, Tree
-from chaidkit.core import CategoryPartition, StopReason
+from chaidkit import ChaidError, ContingencyTable, GrowthParams, PredictorSpec, Scale, Tree
+from chaidkit.core import CategoryPartition, StopReason, _pair_p_value
 from chaidkit.model import NodeSplit, TreeNode
 
 #: Largest original-category count the enumeration oracle will accept.
@@ -102,6 +102,48 @@ def _float_partitions(c: int, r: int):
     for runs in _compositions(c - 1, r):
         for attach_to in range(r):
             yield (runs, attach_to)
+
+
+def merge_by_recomputing(
+    table: ContingencyTable, predictor: PredictorSpec, alpha_merge: float
+) -> tuple[tuple[str, ...], ...]:
+    """The merge loop with no p-value cache: every eligible pair is retested each round.
+
+    Same rules as :func:`merge_categories`: merge the eligible pair with the
+    largest p-value while it exceeds ``alpha_merge`` and more than two
+    groups remain, the earliest pair winning ties; group j folds into group
+    i < j. Eligibility is restated from its definition: any two groups on
+    the free scale, otherwise two groups whose non-floating categories
+    together form one run of the observed order. A float predictor whose
+    floating category is not observed is monotonic.
+    """
+    order = {cat: i for i, cat in enumerate(predictor.categories)}
+    rows = sorted(zip(table.row_labels, table.counts), key=lambda row: order[row[0][0]])
+    observed = [cat for (cat,), _ in rows]
+    floating = predictor.float_category if predictor.float_category in observed else None
+    rank = {cat: i for i, cat in enumerate(c for c in observed if c != floating)}
+
+    def eligible(a: list[str], b: list[str]) -> bool:
+        if predictor.scale is Scale.FREE:
+            return True
+        ranks = sorted(rank[c] for c in a + b if c != floating)
+        return ranks[-1] - ranks[0] == len(ranks) - 1
+
+    groups = [[cat] for cat in observed]
+    counts = [list(row) for _, row in rows]
+    while len(groups) > 2:
+        n = len(groups)
+        pairs = [
+            (i, j) for i in range(n) for j in range(i + 1, n) if eligible(groups[i], groups[j])
+        ]
+        p_values = [_pair_p_value(counts[i], counts[j]) for i, j in pairs]
+        best = max(range(len(pairs)), key=p_values.__getitem__)
+        if p_values[best] <= alpha_merge:
+            break
+        i, j = pairs[best]
+        groups[i] += groups.pop(j)
+        counts[i] = [a + b for a, b in zip(counts[i], counts.pop(j))]
+    return tuple(tuple(sorted(group, key=order.__getitem__)) for group in groups)
 
 
 def records_from_counts(

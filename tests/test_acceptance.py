@@ -7,6 +7,7 @@ prints a PASS line naming what held. Timed criteria assert their budget.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import random
@@ -293,8 +294,14 @@ def _synthetic_listing_rows(rng, n):
     return rows
 
 
-def test_end_to_end_pipeline_and_speed(tmp_path):
-    """File to model to predictions; 10k x 8 trains inside ten seconds."""
+#: sha256 of the model `chaidkit train` writes with default parameters for
+#: the first 10,000 generated listings (binned, monotonic, float and free
+#: predictors). Any change to it is a change in trained models.
+LISTINGS_10K_MODEL_SHA256 = "9e1371ca453d39bac47f39bbe107f1c5580f28c30cccb7e9a28a41f958e438e2"
+
+
+def _write_listings(tmp_path, n):
+    """The listings schema and ``n`` generated rows at the acceptance seed, as files."""
     columns = [
         ColumnSpec(name="views", role="predictor", kind="numeric",
                    binning=BinningSpec(strategy="equal_frequency", bin_count=12)),
@@ -321,7 +328,13 @@ def test_end_to_end_pipeline_and_speed(tmp_path):
     with open(data_path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow([c.name for c in columns])
-        writer.writerows(_synthetic_listing_rows(rng, 10_000))
+        writer.writerows(_synthetic_listing_rows(rng, n))
+    return schema, schema_path, data_path
+
+
+def test_end_to_end_pipeline_and_speed(tmp_path):
+    """File to model to predictions; 10k x 8 trains inside ten seconds."""
+    schema, _, data_path = _write_listings(tmp_path, 10_000)
 
     dataset = load_dataset(data_path, schema)
     assert len(dataset.records) == 10_000
@@ -379,3 +392,17 @@ def test_distributions_are_exact_normalized_counts():
             nodes_checked += 1
     print(f"PASS distributions: {nodes_checked} node distributions are exact "
           "normalized counts")
+
+
+def test_listings_model_bytes_are_pinned(tmp_path):
+    """Default-parameter training on 10k generated listings writes pinned bytes."""
+    _, schema_path, data_path = _write_listings(tmp_path, 10_000)
+    model_path = tmp_path / "model.json"
+    rc = main([
+        "train", "--data", str(data_path), "--schema", str(schema_path),
+        "--model", str(model_path),
+    ])
+    assert rc == 0
+    digest = hashlib.sha256(model_path.read_bytes()).hexdigest()
+    assert digest == LISTINGS_10K_MODEL_SHA256
+    print(f"PASS model bytes: 10k listings model sha256 {digest[:8]}... as pinned")

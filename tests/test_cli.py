@@ -307,6 +307,23 @@ class TestCustomFloatCategory:
         c_row, blank_row = out.read_text(encoding="utf-8").splitlines()[1:]
         assert blank_row.split(",")[2:] == c_row.split(",")[2:]
 
+    @pytest.mark.parametrize("categories", [None, ("a", "b", "c", "d")])
+    def test_blank_cell_unseen_in_training_warns_as_missing(
+        self, tmp_path, capsys, categories
+    ):
+        rows = [row for row in self.ROWS if not row.startswith("c,")]
+        data = self.write(tmp_path / "train.csv", rows)
+        rc, model = train(tmp_path, self.schema(tmp_path, categories), data)
+        assert rc == 0
+        assert load_model(model).root.split.predictor == "x"
+        capsys.readouterr()
+        blank = self.write(tmp_path / "blank.csv", [",u"])
+        out = tmp_path / "pred.csv"
+        rc = main(["predict", "--model", str(model), "--data", str(blank), "--out", str(out)])
+        assert rc == 0
+        (warning,) = capsys.readouterr().err.splitlines()
+        assert warning.startswith("warning: row 1: missing value for predictor 'x'; ")
+
 
 class TestInspect:
     def test_fixture_structure(self, tmp_path, capsys):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from chaidkit import (
     ChaidError,
+    ContingencyTable,
     GrowthParams,
     PredictorSpec,
     Scale,
@@ -22,6 +23,7 @@ from chaidkit import (
 )
 from chaidkit.core import CategoryPartition, SplitCandidate, StopReason, should_stop
 from conftest import (
+    merge_by_recomputing,
     multi_records_from_counts,
     partition_count_oracle,
     records_from_counts,
@@ -177,6 +179,26 @@ class TestMergeCategories:
                 ranks = sorted(rank[c] for c in group if c != float_cat)
                 if ranks:
                     assert ranks == list(range(ranks[0], ranks[-1] + 1))
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_same_partition_as_recomputing_every_pair(self, data):
+        # Sparse tables (mostly empty cells) make pairs tie at p = 1.0, where
+        # the earliest pair must still win once p-values come from the cache.
+        n_cats = data.draw(st.integers(2, 9))
+        cats = data.draw(st.permutations([f"k{i}" for i in range(n_cats)]))
+        scale = data.draw(st.sampled_from([Scale.MONOTONIC, Scale.FREE, Scale.FLOAT]))
+        float_cat = data.draw(st.sampled_from(cats)) if scale is Scale.FLOAT else None
+        classes = ["u", "v", "w"][: data.draw(st.integers(2, 3))]
+        cell = st.one_of(st.just(0), st.integers(0, 3), st.integers(0, 60))
+        grid = [[data.draw(cell) for _ in classes] for _ in cats]
+        if not any(map(any, grid)):
+            grid[0][0] = 1
+        table = ContingencyTable.from_counts(cats, classes, grid)
+        predictor = spec(cats, scale, float_category=float_cat)
+        alpha_merge = data.draw(st.sampled_from([0.05, 0.5, 0.95]))
+        partition = merge_categories(table, predictor, alpha_merge)
+        assert partition.groups == merge_by_recomputing(table, predictor, alpha_merge)
 
 
 class TestEvaluatePredictor:

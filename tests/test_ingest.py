@@ -357,6 +357,17 @@ class TestLoadDataset:
         dataset = load_text(data, schema, require_target=False)
         assert dataset.records[1]["x"] == "c"
 
+    def test_written_floating_category_need_not_be_declared(self):
+        schema = make_schema(
+            cat_col("x", scale=Scale.FLOAT, float_category="c", categories=("a", "b")),
+            cat_col("y", role="target"),
+        )
+        written = load_text("x,y\na,u\nc,v\nb,u\n", schema)
+        blank = load_text("x,y\na,u\n,v\nb,u\n", schema)
+        assert written.records == blank.records
+        assert [r["x"] for r in written.records] == ["a", "c", "b"]
+        assert written.predictor_specs() == blank.predictor_specs()
+
     def test_problems_are_aggregated(self):
         schema = make_schema(
             cat_col("x", categories=("a",)), cat_col("y", role="target")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import chaidkit
@@ -57,3 +58,26 @@ def test_benchmark_imports_are_exported():
     }
     assert {"ChaidError", "DatasetSchema", "load_dataset", "load_model"} <= imported
     assert imported <= set(chaidkit.__all__)
+
+
+def test_benchmark_tracer_wraps_the_growth_layers(monkeypatch):
+    # perfbench/layers.py replaces module attributes by name (cli.train_tree,
+    # grow.best_split, core.merge_categories, ...); a renamed one fails here.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    layers = importlib.import_module("layers")
+    import chaidkit.core as core
+    import chaidkit.grow as grow
+
+    original = (grow.best_split, core.merge_categories, core.build_contingency)
+    tracer = layers.Tracer()
+    layers.install(tracer)
+    try:
+        records = [{"x": x, "y": y} for x, y in [("a", "u"), ("b", "v")] * 20]
+        spec = chaidkit.PredictorSpec("x", chaidkit.Scale.FREE, ("a", "b"))
+        chaidkit.grow_tree(records, [spec], "y")
+    finally:
+        tracer.remove()
+    assert (grow.best_split, core.merge_categories, core.build_contingency) == original
+    # Training still reaches every wrapped layer through its module globals.
+    for name in ("core.best_split", "core.merge_categories", "stats.build_contingency"):
+        assert tracer.named(name), name
