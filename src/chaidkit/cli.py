@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -154,13 +154,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
     if tree.schema is None:
         raise ChaidError("model carries no schema; cannot parse raw data")
     used = _split_predictors(tree)
-    echo = dict(tree.schema)
-    echo["columns"] = [
-        col
-        for col in tree.schema.get("columns", [])
-        if col.get("role") != "predictor" or col.get("name") in used
-    ]
-    schema = DatasetSchema.from_doc(echo)
+    echo = DatasetSchema.from_doc(tree.schema)
+    kept = tuple(col for col in echo.columns if col.role != "predictor" or col.name in used)
+    schema = replace(echo, columns=kept)
     dataset = load_dataset(args.data, schema, require_target=False, keep_raw=True)
     assert dataset.header is not None and dataset.raw_rows is not None
 

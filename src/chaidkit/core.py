@@ -9,6 +9,7 @@ stop rules in a fixed order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Collection, Iterator, Mapping, Sequence
@@ -22,6 +23,7 @@ from .stats import (
     build_contingency,
     chi_square_p_value,
     chi_square_test,
+    pearson_statistic,
 )
 
 __all__ = [
@@ -110,6 +112,7 @@ class SplitCandidate:
 
     ``group_sizes`` holds the record count of each partition group in group
     order, so stop rules can check child sizes without re-counting.
+    ``log_raw_p`` is log ``raw_p``, finite where ``raw_p`` underflows to 0.0.
     """
 
     predictor: PredictorSpec
@@ -117,6 +120,7 @@ class SplitCandidate:
     statistic: float
     df: int
     raw_p: float
+    log_raw_p: float
     multiplier: int
     adjusted_p: float
     group_sizes: tuple[int, ...]
@@ -203,22 +207,9 @@ def _pair_p_value(row_a: Sequence[int], row_b: Sequence[int]) -> float:
         if a + b > 0:
             obs_a.append(a)
             obs_b.append(b)
-    if len(obs_a) < 2:
+    if len(obs_a) < 2 or not any(obs_a) or not any(obs_b):
         return 1.0
-    total_a = sum(obs_a)
-    total_b = sum(obs_b)
-    if total_a == 0 or total_b == 0:
-        return 1.0
-    grand = total_a + total_b
-    statistic = 0.0
-    for a, b in zip(obs_a, obs_b):
-        col = a + b
-        ea = total_a * col / grand
-        eb = total_b * col / grand
-        da = a - ea
-        db = b - eb
-        statistic += da * da / ea + db * db / eb
-    return chi_square_p_value(statistic, len(obs_a) - 1)
+    return chi_square_p_value(pearson_statistic((obs_a, obs_b)), len(obs_a) - 1)
 
 
 def _effective_scale(predictor: PredictorSpec, observed: Collection[str]) -> Scale:
@@ -330,6 +321,7 @@ def evaluate_predictor(
         statistic=result.statistic,
         df=result.degrees_of_freedom,
         raw_p=result.p_value,
+        log_raw_p=result.log_p,
         multiplier=multiplier,
         adjusted_p=adjusted,
         group_sizes=tuple(merged.row_totals()),
@@ -347,9 +339,11 @@ def best_split(
     """Pick the predictor whose merged split has the smallest adjusted p-value.
 
     Returns ``None`` unless the winner's adjusted p-value is at most
-    ``params.alpha_split``. Ties break by smaller raw p-value, then by
-    predictor position in ``predictors``. ``records`` may be a coded node,
-    as for :func:`build_contingency`.
+    ``params.alpha_split``. Candidates rank by log adjusted p-value,
+    ``min(0, log multiplier + log raw p)``, which stays finite where linear
+    p-values underflow; ties break by log raw p-value, then by position in
+    ``predictors``. ``records`` may be a coded node, as for
+    :func:`build_contingency`.
     """
     best: SplitCandidate | None = None
     best_key: tuple[float, float, int] | None = None
@@ -359,7 +353,8 @@ def best_split(
         )
         if candidate is None:
             continue
-        key = (candidate.adjusted_p, candidate.raw_p, index)
+        log_adjusted = min(0.0, math.log(candidate.multiplier) + candidate.log_raw_p)
+        key = (log_adjusted, candidate.log_raw_p, index)
         if best_key is None or key < best_key:
             best = candidate
             best_key = key

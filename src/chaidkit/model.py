@@ -358,12 +358,16 @@ def _node_from_doc(doc: object) -> TreeNode:
     split_doc = doc.get("split")
     split = None
     if split_doc is not None:
+        groups = split_doc["groups"]
+        if not isinstance(groups, list) or not all(isinstance(g, list) for g in groups):
+            raise ModelError(f"split groups must be a list of lists, not {groups!r}")
         split = NodeSplit(
             predictor=str(split_doc["predictor"]),
-            partition=CategoryPartition(
-                tuple(tuple(str(c) for c in g) for g in split_doc["groups"])
-            ),
+            partition=CategoryPartition(tuple(tuple(str(c) for c in g) for g in groups)),
         )
+    class_counts = doc["class_counts"]
+    if not isinstance(class_counts, dict):
+        raise ModelError(f"class_counts must be a mapping, not {class_counts!r}")
     reason_doc = doc.get("stop_reason")
     try:
         reason = None if reason_doc is None else StopReason(reason_doc)
@@ -375,7 +379,7 @@ def _node_from_doc(doc: object) -> TreeNode:
         parent=None if doc.get("parent") is None else int(doc["parent"]),
         split=split,
         children=tuple(int(c) for c in doc["children"]),
-        class_counts={str(k): int(v) for k, v in doc["class_counts"].items()},
+        class_counts={str(k): int(v) for k, v in class_counts.items()},
         stop_reason=reason,
     )
 

@@ -24,8 +24,10 @@ __all__ = [
     "ChiSquareResult",
     "CodedRecords",
     "build_contingency",
+    "chi_square_log_p_value",
     "chi_square_p_value",
     "chi_square_test",
+    "pearson_statistic",
     "bonferroni_multiplier",
 ]
 
@@ -143,11 +145,12 @@ class ContingencyTable:
 
 @dataclass(frozen=True)
 class ChiSquareResult:
-    """Outcome of a chi-squared independence test."""
+    """Outcome of a chi-squared independence test; ``log_p`` is log ``p_value``."""
 
     statistic: float
     degrees_of_freedom: int
     p_value: float
+    log_p: float
 
     def __post_init__(self) -> None:
         if self.statistic < 0:
@@ -156,6 +159,8 @@ class ChiSquareResult:
             raise ChaidError("degrees of freedom must be positive")
         if not 0.0 <= self.p_value <= 1.0:
             raise ChaidError("p-value outside [0, 1]")
+        if not self.log_p <= 0.0:
+            raise ChaidError("log p-value above 0")
 
 
 @dataclass(frozen=True)
@@ -300,27 +305,83 @@ def build_contingency(
     return records.table(predictor)
 
 
-def chi_square_p_value(statistic: float, df: int) -> float:
-    """Upper-tail probability of the chi-squared distribution.
+def chi_square_log_p_value(statistic: float, df: int) -> float:
+    """Natural log of the upper-tail chi-squared probability, for integer ``df``.
 
-    Computed as the upper regularised incomplete gamma function
-    Q(df/2, statistic/2), by power series for small statistics and by
-    continued fraction otherwise.
+    With ``x = statistic / 2`` the tail is Q(df/2, x), which for integer df
+    has a closed form (Abramowitz & Stegun 26.4.4-5): start from
+    Q(1, x) = e^-x for even df or Q(1/2, x) = erfc(sqrt x) for odd df, and
+    step up with Q(a+1, x) = Q(a, x) + x^a e^-x / Gamma(a+1). Summed in
+    log space, it stays finite however far in the tail the statistic lies.
 
     Raises:
-        ChaidError: ``"invalid test input"`` for a negative statistic or
-            non-positive degrees of freedom.
+        ChaidError: ``"invalid test input"`` for a negative or non-finite
+            statistic, or degrees of freedom that are not a positive integer.
     """
-    if statistic < 0 or df < 1 or math.isnan(statistic):
+    if not 0.0 <= statistic < math.inf or not isinstance(df, int) or df < 1:
         raise ChaidError("invalid test input")
-    q = _upper_regularized_gamma(df / 2.0, statistic / 2.0)
-    return min(1.0, max(0.0, q))
+    x = statistic / 2.0
+    if x == 0.0:
+        return 0.0
+    log_q = -math.inf
+    # The terms t_a = x^a e^-x / Gamma(a+1) run over a = first + i, i < count.
+    # As t_a / t_(a-1) = x / a, they rise while a <= x and fall after; summed
+    # outward from the largest, every ratio is at most 1, so nothing overflows.
+    first, count = (df % 2) / 2.0, df // 2
+    if count:
+        peak = min(count - 1, max(0, math.floor(x - first)))
+        below = above = 0.0
+        for i in range(1, peak + 1):
+            below = (1.0 + below) * (first + i) / x
+        for i in range(count - 1, peak, -1):
+            above = (1.0 + above) * x / (first + i)
+        a = first + peak
+        log_q = a * math.log(x) - x - math.lgamma(a + 1.0) + math.log1p(below + above)
+    if df % 2:
+        log_erfc = _log_erfc_sqrt(x)
+        high, low = max(log_q, log_erfc), min(log_q, log_erfc)
+        log_q = high + math.log1p(math.exp(low - high))
+    return min(0.0, log_q)
+
+
+def _log_erfc_sqrt(x: float) -> float:
+    # log erfc(sqrt x). math.erfc underflows past sqrt x ~ 26.5; from 26 on, ten terms
+    # of the asymptotic series e^-x / sqrt(pi x) sum_n (-1)^n (2n-1)!! / (2x)^n suffice.
+    if x < 676.0:
+        return math.log(math.erfc(math.sqrt(x)))
+    term = total = 1.0
+    for n in range(1, 10):
+        term *= -(2 * n - 1) / (2.0 * x)
+        total += term
+    return -x - 0.5 * math.log(math.pi * x) + math.log(total)
+
+
+def chi_square_p_value(statistic: float, df: int) -> float:
+    """``exp`` of :func:`chi_square_log_p_value`; 0.0 once the statistic passes about 1500."""
+    return math.exp(chi_square_log_p_value(statistic, df))
+
+
+def pearson_statistic(counts: Sequence[Sequence[int]]) -> float:
+    """Pearson's chi-squared statistic of a table given row by row.
+
+    Each cell's expected count is row total x column total / grand total, so
+    every row and column total must be positive. The cell terms are summed
+    exactly rounded, so permuting rows or columns gives the same float.
+    """
+    col_totals = [sum(column) for column in zip(*counts)]
+    grand = sum(col_totals)
+    terms = []
+    for row in counts:
+        row_total = sum(row)
+        for observed, col_total in zip(row, col_totals):
+            expected = row_total * col_total / grand
+            diff = observed - expected
+            terms.append(diff * diff / expected)
+    return math.fsum(terms)
 
 
 def chi_square_test(table: ContingencyTable) -> ChiSquareResult:
     """Pearson chi-squared independence test: statistic, degrees of freedom, p-value.
-
-    Each cell's expected count is row total x column total / grand total.
 
     Raises:
         ChaidError: ``"degenerate table"`` if the table has fewer than two
@@ -328,68 +389,10 @@ def chi_square_test(table: ContingencyTable) -> ChiSquareResult:
     """
     if table.n_rows < 2 or table.n_cols < 2:
         raise ChaidError("degenerate table")
-    row_totals = table.row_totals()
-    col_totals = [sum(column) for column in zip(*table.counts)]
-    grand = sum(row_totals)
-    statistic = 0.0
-    for row, row_total in zip(table.counts, row_totals):
-        for observed, col_total in zip(row, col_totals):
-            expected = row_total * col_total / grand
-            diff = observed - expected
-            statistic += diff * diff / expected
+    statistic = pearson_statistic(table.counts)
     df = (table.n_rows - 1) * (table.n_cols - 1)
-    return ChiSquareResult(statistic, df, chi_square_p_value(statistic, df))
-
-
-def _upper_regularized_gamma(a: float, x: float) -> float:
-    # Q(a, x); series for x < a+1, Lentz continued fraction otherwise.
-    if x <= 0.0:
-        return 1.0
-    if x < a + 1.0:
-        return 1.0 - _lower_gamma_series(a, x)
-    return _upper_gamma_continued_fraction(a, x)
-
-
-def _log_prefix(a: float, x: float) -> float:
-    return a * math.log(x) - x - math.lgamma(a)
-
-
-def _lower_gamma_series(a: float, x: float) -> float:
-    # P(a, x) = x^a e^-x / Gamma(a) * sum_n x^n / (a+1)...(a+n)
-    term = 1.0 / a
-    total = term
-    denom = a
-    for _ in range(1000):
-        denom += 1.0
-        term *= x / denom
-        total += term
-        if abs(term) < abs(total) * 1e-17:
-            break
-    return total * math.exp(_log_prefix(a, x))
-
-
-def _upper_gamma_continued_fraction(a: float, x: float) -> float:
-    # Modified Lentz evaluation of the standard continued fraction for Q(a, x).
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b if b != 0.0 else 1.0 / tiny
-    h = d
-    for i in range(1, 1000):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return math.exp(_log_prefix(a, x)) * h
+    log_p = chi_square_log_p_value(statistic, df)
+    return ChiSquareResult(statistic, df, math.exp(log_p), log_p)
 
 
 def bonferroni_multiplier(scale: Scale, c: int, r: int) -> int:

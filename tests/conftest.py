@@ -8,8 +8,16 @@ from typing import Mapping, Sequence
 
 from scipy.integrate import quad
 
-from chaidkit import ChaidError, ContingencyTable, GrowthParams, PredictorSpec, Scale, Tree
-from chaidkit.core import CategoryPartition, StopReason, _pair_p_value
+from chaidkit import (
+    ChaidError,
+    ContingencyTable,
+    GrowthParams,
+    PredictorSpec,
+    Scale,
+    Tree,
+    chi_square_test,
+)
+from chaidkit.core import CategoryPartition, StopReason
 from chaidkit.model import NodeSplit, TreeNode
 
 #: Largest original-category count the enumeration oracle will accept.
@@ -19,7 +27,7 @@ ORACLE_MAX_CATEGORIES = 10
 def chi2_upper_tail_by_integration(statistic: float, df: int) -> float:
     """Upper-tail chi-squared probability by adaptive numerical integration.
 
-    Deliberately shares nothing with the library's series/continued-fraction
+    Deliberately shares nothing with the library's closed-form log-space
     implementation: the density is written out from its definition and
     integrated with scipy's adaptive quadrature.
     """
@@ -115,13 +123,21 @@ def merge_by_recomputing(
     i < j. Eligibility is restated from its definition: any two groups on
     the free scale, otherwise two groups whose non-floating categories
     together form one run of the observed order. A float predictor whose
-    floating category is not observed is monotonic.
+    floating category is not observed is monotonic. Each pair is tested with
+    :func:`chi_square_test` on its two-row table, empty columns dropped; a
+    table left with fewer than two columns is no evidence, p = 1.0.
     """
     order = {cat: i for i, cat in enumerate(predictor.categories)}
     rows = sorted(zip(table.row_labels, table.counts), key=lambda row: order[row[0][0]])
     observed = [cat for (cat,), _ in rows]
     floating = predictor.float_category if predictor.float_category in observed else None
     rank = {cat: i for i, cat in enumerate(c for c in observed if c != floating)}
+
+    def pair_p_value(a: list[int], b: list[int]) -> float:
+        pair = ContingencyTable.from_counts(["a", "b"], [str(j) for j in range(len(a))], [a, b])
+        if pair.n_rows < 2 or pair.n_cols < 2:
+            return 1.0
+        return chi_square_test(pair).p_value
 
     def eligible(a: list[str], b: list[str]) -> bool:
         if predictor.scale is Scale.FREE:
@@ -136,7 +152,7 @@ def merge_by_recomputing(
         pairs = [
             (i, j) for i in range(n) for j in range(i + 1, n) if eligible(groups[i], groups[j])
         ]
-        p_values = [_pair_p_value(counts[i], counts[j]) for i, j in pairs]
+        p_values = [pair_p_value(counts[i], counts[j]) for i, j in pairs]
         best = max(range(len(pairs)), key=p_values.__getitem__)
         if p_values[best] <= alpha_merge:
             break

@@ -254,6 +254,23 @@ class TestPredict:
         assert rc == 1
         assert "carries no schema" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "columns,message",
+        [([1], "column entry must be a mapping"), ({"a": {}}, "schema document declares no columns")],
+        ids=["number", "mapping"],
+    )
+    def test_malformed_schema_columns_is_one_error_line(
+        self, tmp_path, perfect, capsys, columns, message
+    ):
+        model, data = setup_model(tmp_path, perfect)
+        doc = json.loads(model.read_text(encoding="utf-8"))
+        doc["schema"]["columns"] = columns
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "pred.csv"
+        rc = main(["predict", "--model", str(model), "--data", str(data), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
 
 class TestCustomFloatCategory:
     """A float predictor whose floating category is "c" rather than the missing label."""
@@ -365,6 +382,35 @@ class TestInspect:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("error: malformed model document")
+
+    def test_non_mapping_class_counts_is_one_error_line(self, tmp_path, capsys):
+        doc = sales_fixture_tree().to_document()
+        doc["nodes"][3]["class_counts"] = []
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["inspect", "--model", str(model)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: class_counts must be a mapping, not []"]
+
+    @pytest.mark.parametrize("command", ["inspect", "predict"])
+    @pytest.mark.parametrize("groups", ["ab", ["a", "b"]], ids=["string", "string_groups"])
+    def test_groups_not_lists_is_one_error_line(
+        self, tmp_path, perfect, capsys, command, groups
+    ):
+        model, data = setup_model(tmp_path, perfect)
+        doc = json.loads(model.read_text(encoding="utf-8"))
+        assert doc["nodes"][0]["split"]["groups"] == [["a"], ["b"]]
+        doc["nodes"][0]["split"]["groups"] = groups
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        argv = ["inspect", "--model", str(model)]
+        if command == "predict":
+            argv = ["predict", "--model", str(model), "--data", str(data),
+                    "--out", str(tmp_path / "pred.csv")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: split groups must be a list of lists")
 
 
 class TestExportDot:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -65,6 +66,12 @@ class TestMergeCategories:
         records = records_from_counts(counts)
         partition = merge_categories(counted(records), spec("ABC"), 0.05)
         assert partition.groups == (("A", "B"), ("C",))
+
+    def test_pairs_that_tie_in_theory_tie_in_floats(self):
+        # A and B are mirror images against C, so A-C and B-C have the same
+        # p-value and the earlier pair, A-C, merges.
+        table = ContingencyTable.from_counts("ABC", ["u", "v"], [[2, 1], [1, 2], [1, 1]])
+        assert merge_categories(table, spec("ABC"), 0.05).groups == (("A", "C"), ("B",))
 
     def test_monotonic_all_distinct_stays_apart(self):
         counts = {
@@ -320,6 +327,25 @@ class TestBestSplit:
         assert candidate is not None
         assert candidate.predictor.name == "x1"
 
+    def test_ranks_by_log_p_where_linear_p_underflows(self):
+        # 20k binary rows: "a" agrees with the target on 65% of them
+        # (chi-squared 1800), "b" on 80% (chi-squared 7200). Both linear
+        # p-values underflow to 0.0, yet "b" is the stronger split.
+        counts = {}
+        for cls, other in (("u", "v"), ("v", "u")):
+            counts[(cls, other, cls)] = 2000
+            counts[(cls, cls, cls)] = 4500
+            counts[(other, cls, cls)] = 3500
+        records = multi_records_from_counts(counts, ["a", "b"])
+        predictors = [spec("uv", name="a"), spec("uv", name="b")]
+        weaker = evaluate_predictor(records, predictors[0], "y", 0.05)
+        candidate = best_split(records, predictors, "y", GrowthParams())
+        assert weaker.statistic == pytest.approx(1800.0)
+        assert candidate.statistic == pytest.approx(7200.0)
+        assert weaker.raw_p == candidate.raw_p == 0.0
+        assert candidate.log_raw_p < weaker.log_raw_p < -800.0
+        assert candidate.predictor.name == "b"
+
     def test_insignificant_everything_is_absent(self):
         counts = {
             ("a", "u"): 25, ("a", "v"): 25,
@@ -337,6 +363,7 @@ def _candidate(group_sizes=(50, 50), raw_p=0.001, multiplier=2):
         statistic=10.0,
         df=1,
         raw_p=raw_p,
+        log_raw_p=math.log(raw_p),
         multiplier=multiplier,
         adjusted_p=min(1.0, multiplier * raw_p),
         group_sizes=tuple(group_sizes),

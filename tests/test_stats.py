@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import math
 import random
+from decimal import Decimal, localcontext
 
+import mpmath
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +21,7 @@ from chaidkit import (
     chi_square_p_value,
     chi_square_test,
 )
+from chaidkit.stats import chi_square_log_p_value
 from conftest import (
     chi2_upper_tail_by_integration,
     partition_count_oracle,
@@ -35,6 +39,34 @@ FROZEN_TAILS = [
     (10.0, 4, 0.0404276819945),
     (50.0, 10, 2.6690834249e-7),
 ]
+
+
+#: Statistics from 1e-6 to 1e5, six per decade.
+STATISTIC_GRID = [10.0 ** (k / 6) for k in range(-36, 31)]
+
+#: Statistics deep in the tail, where the linear p-value underflows; 1352 is
+#: where the odd-df start value switches from math.erfc to its asymptotic series.
+DEEP_STATISTICS = [1e3, 1351.0, 1352.0, 1353.0, 1500.0, 7.2e3, 1e4, 1e5, 3.3e5, 1e6]
+DEEP_DFS = [1, 2, 3, 4, 5, 8, 15, 30, 31, 64, 99, 150, 199, 200]
+
+
+def _even_df_log_tail(statistic: float, df: int) -> float:
+    """log Q(df/2, x) for even df as -x + log sum_{i < df/2} x^i / i!, in 60-digit decimal."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        x = Decimal(statistic) / 2
+        term = total = Decimal(1)
+        for i in range(1, df // 2):
+            term = term * x / i
+            total += term
+        return float(total.ln() - x)
+
+
+def _mpmath_log_tail(statistic: float, df: int) -> float:
+    """log Q(df/2, x) from mpmath's regularised upper incomplete gamma at 40 digits."""
+    with mpmath.workdps(40):
+        half = mpmath.mpf(statistic) / 2
+        return float(mpmath.log(mpmath.gammainc(mpmath.mpf(df) / 2, half, regularized=True)))
 
 
 def _table(rows):
@@ -156,7 +188,7 @@ class TestPearson:
         )
         other = chi_square_test(permuted)
         assert other.degrees_of_freedom == base.degrees_of_freedom
-        assert other.statistic == pytest.approx(base.statistic, rel=1e-12, abs=1e-12)
+        assert other.statistic == base.statistic
 
     @given(tables(max_side=4, max_cell=20), st.integers(1, 5))
     @settings(max_examples=150, deadline=None)
@@ -200,6 +232,35 @@ class TestTailProbability:
         with pytest.raises(ChaidError, match="invalid test input"):
             chi_square_p_value(1.0, 0)
 
+    @pytest.mark.parametrize("df", [2.5, 0.5])
+    def test_non_integer_df_rejected(self, df):
+        with pytest.raises(ChaidError, match="invalid test input"):
+            chi_square_p_value(3.0, df)
+        with pytest.raises(ChaidError, match="invalid test input"):
+            chi_square_log_p_value(3.0, df)
+
+    @pytest.mark.parametrize("statistic", [math.nan, math.inf])
+    def test_non_finite_statistic_rejected(self, statistic):
+        with pytest.raises(ChaidError, match="invalid test input"):
+            chi_square_log_p_value(statistic, 3)
+
+    def test_matches_scipy(self):
+        worst = 0.0
+        for df in range(1, 201):
+            for statistic, want in zip(STATISTIC_GRID, scipy.stats.chi2.sf(STATISTIC_GRID, df)):
+                if want >= 1e-300:
+                    got = chi_square_p_value(statistic, df)
+                    worst = max(worst, abs(got - want) / want)
+        assert worst < 1e-12
+
+    @pytest.mark.parametrize("df", DEEP_DFS)
+    def test_log_tail_deep(self, df):
+        oracle = _mpmath_log_tail if df % 2 else _even_df_log_tail
+        for statistic in DEEP_STATISTICS:
+            want = oracle(statistic, df)
+            assert chi_square_log_p_value(statistic, df) == pytest.approx(want, rel=1e-14)
+            assert chi_square_p_value(statistic, df) == pytest.approx(math.exp(want), rel=1e-10)
+
     @given(
         st.lists(
             st.floats(0.0, 150.0, allow_nan=False),
@@ -221,6 +282,15 @@ class TestTailProbability:
         assert result.p_value == pytest.approx(
             chi_square_p_value(result.statistic, result.degrees_of_freedom)
         )
+        assert result.log_p == pytest.approx(math.log(result.p_value))
+
+    def test_log_p_stays_finite_where_p_underflows(self):
+        result = chi_square_test(_table([[9000, 1000], [1000, 9000]]))
+        assert result.p_value == 0.0
+        assert result.log_p == pytest.approx(
+            chi_square_log_p_value(result.statistic, result.degrees_of_freedom)
+        )
+        assert -math.inf < result.log_p < -3000.0
 
 
 def _stirling_table(n_max: int) -> list[list[int]]:
