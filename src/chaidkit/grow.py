@@ -1,10 +1,11 @@
 """Breadth-first tree growth.
 
-``grow_tree`` runs the node loop over in-memory records: find the best
-split, apply the stop rules, and either close the node or fan its records
-out to one child per category group. ``train_tree`` is the glue from a
-loaded dataset, carrying the dataset's schema echo into the model so
-predictions can be made from the model file alone.
+The node loop runs over records coded once at the root: find the best
+split, apply the stop rules, and either close the node or fan its rows
+out to one child per category group. ``grow_tree`` codes in-memory
+records; ``train_tree`` codes a loaded dataset's label columns, carrying
+the dataset's schema echo into the model so predictions can be made from
+the model file alone.
 """
 
 from __future__ import annotations
@@ -40,8 +41,9 @@ def grow_tree(
     Node ids are assigned in breadth-first creation order, with children
     ordered like their category groups, so identical inputs always produce
     the identical tree. ``class_order`` fixes the emitted class order and
-    defaults to the sorted observed classes. The records are coded once,
-    at the root; every node is then a list of row indices into them.
+    defaults to the sorted observed classes. The records are turned into
+    label columns and coded once, at the root; every node is then a list
+    of row indices into them.
     """
     if not records:
         raise ChaidError("empty dataset")
@@ -53,15 +55,24 @@ def grow_tree(
     if target in names:
         raise ChaidError(f"target {target!r} is also declared as a predictor")
 
-    root = CodedRecords.encode(
-        records, target, {spec.name: spec.categories for spec in predictors}, class_order
-    )
+    universes = {spec.name: spec.categories for spec in predictors}
+    root = CodedRecords.from_records(records, target, universes, class_order)
+    return _grow(root, predictors, target, params, schema)
+
+
+def _grow(
+    root: CodedRecords,
+    predictors: Sequence[PredictorSpec],
+    target: str,
+    params: GrowthParams,
+    schema: dict | None,
+) -> Tree:
+    """The node loop over a coded root; every node is a list of row indices."""
     classes = root.classes
 
     nodes: list[TreeNode] = []
     next_id = 1
-    queue: deque[tuple[int, int, int | None, Sequence[int]]] = deque()
-    queue.append((0, 0, None, root.rows))
+    queue: deque[tuple[int, int, int | None, Sequence[int]]] = deque([(0, 0, None, root.rows)])
     while queue:
         node_id, depth, parent, rows = queue.popleft()
         node = root.at(rows)
@@ -112,16 +123,12 @@ def grow_tree(
 
 def train_tree(dataset: Dataset, params: GrowthParams = GrowthParams()) -> Tree:
     """Grow a tree from a loaded dataset, embedding its schema echo."""
-    if not dataset.records:
+    if not dataset.n_rows:
         raise ChaidError("empty dataset")
     predictors = dataset.predictor_specs()
     if not predictors:
         raise ChaidError("schema declares no predictors")
-    return grow_tree(
-        records=dataset.records,
-        predictors=predictors,
-        target=dataset.target_name,
-        params=params,
-        class_order=dataset.classes,
-        schema=dataset.schema_echo(),
-    )
+    target = dataset.target_name
+    universes = {spec.name: spec.categories for spec in predictors}
+    root = CodedRecords.encode(dataset.columns, target, universes, dataset.classes)
+    return _grow(root, predictors, target, params, dataset.schema_echo())

@@ -21,6 +21,7 @@ import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -348,21 +349,32 @@ def load_schema(path: str | Path) -> DatasetSchema:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Loaded, fully categorical records plus everything needed to rebuild them.
+    """Loaded, fully categorical columns plus everything needed to rebuild them.
 
-    ``boundaries`` maps each parsed numeric column to its realized bin
-    boundaries; ``missing_counts`` reports per-column missing cells (for a
-    float-scale predictor these became its floating category). ``header`` and
-    ``raw_rows`` are kept only when loading asked for them, so prediction
-    output can echo the input verbatim.
+    ``columns`` maps each parsed column to its labels, in row order, over
+    ``n_rows`` rows; :attr:`records` builds one dict per row from them on
+    demand. ``boundaries`` maps each parsed numeric column to its realized
+    bin boundaries; ``missing_counts`` reports per-column missing cells (for
+    a float-scale predictor these became its floating category). ``header``
+    and ``raw_rows`` are kept only when loading asked for them, so
+    prediction output can echo the input verbatim.
     """
 
     schema: DatasetSchema
-    records: tuple[dict[str, str], ...]
+    columns: dict[str, list[str]]
+    n_rows: int
     boundaries: dict[str, tuple[float, ...]]
     missing_counts: dict[str, int]
     header: tuple[str, ...] | None = None
     raw_rows: tuple[tuple[str, ...], ...] | None = None
+
+    @property
+    def records(self) -> tuple[dict[str, str], ...]:
+        """One dict per row, column name to label, built from the columns."""
+        return tuple(
+            {name: labels[r] for name, labels in self.columns.items()}
+            for r in range(self.n_rows)
+        )
 
     @property
     def target_name(self) -> str:
@@ -375,17 +387,24 @@ class Dataset:
 
     def predictor_specs(self) -> tuple[PredictorSpec, ...]:
         """One PredictorSpec per predictor column, in schema order."""
-        specs = []
-        for col in self.schema.predictors:
-            specs.append(
-                PredictorSpec(
-                    name=col.name,
-                    scale=col.effective_scale,
-                    categories=self._universe(col),
-                    float_category=col.effective_float_category,
-                )
+        return tuple(
+            PredictorSpec(
+                name=col.name,
+                scale=col.effective_scale,
+                categories=self._universe(col),
+                float_category=col.effective_float_category,
             )
-        return tuple(specs)
+            for col in self.schema.predictors
+        )
+
+    @cached_property
+    def _observed(self) -> dict[str, list[str]]:
+        """Each parsed categorical column's distinct labels, sorted: found once."""
+        return {
+            name: sorted(set(labels))
+            for name, labels in self.columns.items()
+            if name not in self.boundaries
+        }
 
     def _labels(self, col: ColumnSpec) -> list[str]:
         """A column's ordered labels: bins, else the declared list, else the sorted observed."""
@@ -394,7 +413,7 @@ class Dataset:
             return [str(i) for i in range(1, len(bounds) + 2)]
         if col.categories is not None:
             return list(col.categories)
-        return sorted({rec[col.name] for rec in self.records if col.name in rec})
+        return self._observed.get(col.name, [])
 
     def _universe(self, col: ColumnSpec) -> tuple[str, ...]:
         """A predictor's categories: its labels with the floating category moved last."""
@@ -434,7 +453,7 @@ class Dataset:
 
 def _read_rows(
     source: str | Path | io.TextIOBase, delimiter: str
-) -> tuple[list[str], list[list[str]]]:
+) -> tuple[list[str], list[tuple[str, ...]]]:
     if hasattr(source, "read"):
         return _read_from(source, delimiter)  # type: ignore[arg-type]
     try:
@@ -444,7 +463,7 @@ def _read_rows(
         raise DataError(f"cannot read data file: {exc}") from exc
 
 
-def _read_from(handle: Iterable[str], delimiter: str) -> tuple[list[str], list[list[str]]]:
+def _read_from(handle: Iterable[str], delimiter: str) -> tuple[list[str], list[tuple[str, ...]]]:
     reader = csv.reader(handle, delimiter=delimiter)
     try:
         header = [cell.strip() for cell in next(reader)]
@@ -452,13 +471,13 @@ def _read_from(handle: Iterable[str], delimiter: str) -> tuple[list[str], list[l
         raise DataError("empty file") from None
     if not any(header):
         raise DataError("empty file")
-    rows: list[list[str]] = []
+    rows: list[tuple[str, ...]] = []
     for number, row in enumerate(reader, start=1):
         if len(row) != len(header):
             raise DataError(
                 f"row {number}: expected {len(header)} fields, found {len(row)}"
             )
-        rows.append(row)
+        rows.append(tuple(row))
     return header, rows
 
 
@@ -469,7 +488,7 @@ def load_dataset(
     require_target: bool = True,
     keep_raw: bool = False,
 ) -> Dataset:
-    """Load delimited text into categorical records under a schema.
+    """Load delimited text into categorical label columns under a schema.
 
     A float-scale predictor's missing cells become its floating category.
     With ``require_target`` (training), the target column must be present,
@@ -504,15 +523,12 @@ def load_dataset(
 
     for col in parsed:
         at = index[col.name]
-        cells = [rows[r][at].strip() for r in range(n)]
-        missing = [r for r, cell in enumerate(cells) if cell == ""]
-        missing_counts[col.name] = len(missing)
-        missing_ok = (
-            col.role == "predictor"
-            and (not require_target or col.effective_scale is Scale.FLOAT)
-        )
-        if missing and not missing_ok:
-            shown = _first_few([str(r + 1) for r in missing])
+        cells = [row[at].strip() for row in rows]
+        missing_counts[col.name] = cells.count("")
+        if missing_counts[col.name] and not (
+            col.role == "predictor" and (not require_target or col.effective_scale is Scale.FLOAT)
+        ):
+            shown = _first_few([str(r + 1) for r, cell in enumerate(cells) if cell == ""])
             problems.append(f"column {col.name!r}: missing value at row(s) {shown}")
             continue
         # A float-scale predictor's blank cells are its floating category.
@@ -539,9 +555,11 @@ def load_dataset(
             assert col.binning is not None
             bounds = _compute_boundaries(values, col.binning)
             boundaries[col.name] = bounds
+            # One string per bin, shared by its rows: the labels assign_bin gives.
+            names = [str(i) for i in range(1, len(bounds) + 2)]
             labels = [blank] * n
             for r, value in zip(value_rows, values):
-                labels[r] = assign_bin(value, bounds)
+                labels[r] = names[bisect_left(bounds, value)]
             columns[col.name] = labels
         else:
             declared = set(col.categories) if col.categories is not None else None
@@ -563,16 +581,14 @@ def load_dataset(
     if problems:
         raise DataError("; ".join(problems))
 
-    records = tuple(
-        {name: columns[name][r] for name in columns} for r in range(n)
-    )
     return Dataset(
         schema=schema,
-        records=records,
+        columns=columns,
+        n_rows=n,
         boundaries=boundaries,
         missing_counts=missing_counts,
         header=tuple(header) if keep_raw else None,
-        raw_rows=tuple(tuple(row) for row in rows) if keep_raw else None,
+        raw_rows=tuple(rows) if keep_raw else None,
     )
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -90,14 +91,7 @@ class ClassDistribution:
 
     def modal_class(self) -> str:
         """Most probable class; ties break toward the earliest declared class."""
-        best = None
-        best_p = -1.0
-        for cls, p in self.probabilities.items():
-            if p > best_p:
-                best = cls
-                best_p = p
-        assert best is not None
-        return best
+        return max(self.probabilities, key=self.probabilities.__getitem__)
 
 
 @dataclass(frozen=True)
@@ -159,50 +153,75 @@ class Tree:
         if on_novel not in ("largest_child", "error"):
             raise ModelError(f"unknown novel-category policy {on_novel!r}")
         node = self.nodes[0]
-        while node.children:
-            split = node.split
-            assert split is not None
-            raw = record.get(split.predictor)
-            child_id: int | None = None
-            if raw is not None:
-                value = str(raw)
-                for index, group in enumerate(split.partition.groups):
-                    if value in group:
-                        child_id = node.children[index]
-                        break
+        while node.split is not None:
+            raw = record.get(node.split.predictor)
+            value = None if raw is None else str(raw)
+            child_id = self._child_of[node.id].get(value)
             if child_id is None:
-                if raw is None or str(raw) in self._missing_labels(split.predictor):
-                    cause = f"missing value for predictor {split.predictor!r}"
-                else:
-                    cause = (
-                        f"category {str(raw)!r} of predictor {split.predictor!r} "
-                        "was not seen in training"
-                    )
+                child_id, cause = self._detour(node, value)
                 if on_novel == "error":
                     raise ModelError(f"unroutable record: {cause}")
-                child_id = self._largest_child(node)
                 if warn is not None:
-                    warn(f"{cause}; following the largest child (node {child_id})")
+                    warn(_detour_note(cause, child_id))
             node = self.nodes[child_id]
         return node.id
 
-    def _missing_labels(self, predictor: str) -> set[str]:
-        """The labels a blank cell of ``predictor`` may carry: its floating category too."""
-        labels = {MISSING_LABEL}
-        for spec in self.predictors:
-            if spec.name == predictor and spec.float_category is not None:
-                labels.add(spec.float_category)
-        return labels
+    def route_columns(
+        self,
+        columns: Mapping[str, Sequence[str]],
+        n_rows: int,
+        *,
+        warn: Callable[[int, str], None] | None = None,
+    ) -> list[int]:
+        """Route rows given as label columns, in one batch; return each row's leaf id.
 
-    def _largest_child(self, node: TreeNode) -> int:
-        best_id = node.children[0]
-        best_size = -1
-        for child_id in node.children:
-            size = self.nodes[child_id].size
-            if size > best_size:
-                best_id = child_id
-                best_size = size
-        return best_id
+        Row ``r`` holds ``columns[name][r]``; a predictor without a column is
+        missing. Each node hands its row-index list on to its children, so
+        a row reaches the leaf :meth:`route` gives its record, with the same
+        detours: ``warn`` gets ``(row, message)`` in row order, root to leaf.
+        """
+        leaves = [0] * n_rows
+        notes: list[tuple[int, str]] = []
+        pending: list[tuple[TreeNode, Sequence[int]]] = [(self.nodes[0], range(n_rows))]
+        while pending:
+            node, rows = pending.pop()
+            if node.split is None:
+                for r in rows:
+                    leaves[r] = node.id
+                continue
+            column = columns.get(node.split.predictor) or [None] * n_rows
+            parts: dict[int, list[int]] = {child_id: [] for child_id in node.children}
+            lookup = self._child_of[node.id].get
+            for r, child_id in zip(rows, map(lookup, map(column.__getitem__, rows))):
+                if child_id is None:
+                    child_id, cause = self._detour(node, column[r])
+                    notes.append((r, _detour_note(cause, child_id)))
+                parts[child_id].append(r)
+            pending.extend((self.nodes[c], part) for c, part in parts.items() if part)
+        if warn is not None:
+            for r, message in sorted(notes, key=lambda note: note[0]):
+                warn(r, message)
+        return leaves
+
+    @cached_property
+    def _child_of(self) -> list[dict[str, int]]:
+        """Per node, the child id of each category its split groups."""
+        child_of = []
+        for node in self.nodes:
+            groups = node.split.partition.groups if node.split is not None else ()
+            child_of.append({c: child for g, child in zip(groups, node.children) for c in g})
+        return child_of
+
+    def _detour(self, node: TreeNode, value: str | None) -> tuple[int, str]:
+        """The child a value ungrouped at ``node`` follows, and why (see :meth:`route`)."""
+        assert node.split is not None
+        predictor = node.split.predictor
+        floating = (spec.float_category for spec in self.predictors if spec.name == predictor)
+        if value in {None, MISSING_LABEL, *floating}:
+            cause = f"missing value for predictor {predictor!r}"
+        else:
+            cause = f"category {value!r} of predictor {predictor!r} was not seen in training"
+        return max(node.children, key=lambda c: self.nodes[c].size), cause
 
     def distribution(self, node_id: int) -> ClassDistribution:
         """Class distribution of a node: counts over support, in class order."""
@@ -246,9 +265,7 @@ class Tree:
                         "predictor": node.split.predictor,
                         "groups": [list(g) for g in node.split.partition.groups],
                     },
-                    "stop_reason": None
-                    if node.stop_reason is None
-                    else node.stop_reason.value,
+                    "stop_reason": node.stop_reason and node.stop_reason.value,
                 }
                 for node in self.nodes
             ],
@@ -280,7 +297,7 @@ class Tree:
                 PredictorSpec(
                     name=str(p["name"]),
                     scale=Scale(p["scale"]),
-                    categories=tuple(str(c) for c in p["categories"]),
+                    categories=tuple(str(c) for c in _list(p["categories"], "categories")),
                     float_category=None
                     if p.get("float_category") is None
                     else str(p["float_category"]),
@@ -293,7 +310,7 @@ class Tree:
             schema = document.get("schema")
             tree = cls(
                 target=str(document["target"]),
-                classes=tuple(str(c) for c in document["classes"]),
+                classes=tuple(str(c) for c in _list(document["classes"], "classes")),
                 nodes=nodes,
                 growth_params=params,
                 predictors=predictors,
@@ -348,8 +365,19 @@ class Tree:
         return "\n".join(lines) + "\n"
 
 
+def _detour_note(cause: str, child_id: int) -> str:
+    return f"{cause}; following the largest child (node {child_id})"
+
+
 def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+
+
+def _list(value: object, name: str) -> list:
+    """A list field of a model document: a string there is not a list of characters."""
+    if not isinstance(value, list):
+        raise ModelError(f"{name} must be a list, not {value!r}")
+    return value
 
 
 def _node_from_doc(doc: object) -> TreeNode:
@@ -378,7 +406,7 @@ def _node_from_doc(doc: object) -> TreeNode:
         depth=int(doc["depth"]),
         parent=None if doc.get("parent") is None else int(doc["parent"]),
         split=split,
-        children=tuple(int(c) for c in doc["children"]),
+        children=tuple(int(c) for c in _list(doc["children"], "children")),
         class_counts={str(k): int(v) for k, v in class_counts.items()},
         stop_reason=reason,
     )

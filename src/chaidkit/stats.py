@@ -185,52 +185,68 @@ class CodedRecords:
     @classmethod
     def encode(
         cls,
-        records: Sequence[Mapping[str, object]],
+        columns: Mapping[str, Sequence[str]],
         target: str,
-        columns: Mapping[str, Sequence[str] | None],
+        universes: Mapping[str, Sequence[str] | None],
         class_order: Sequence[str] | None = None,
     ) -> "CodedRecords":
-        """Code ``records`` once, at the root node, which holds all of them.
+        """Code label columns once, at the root node, which holds every row.
 
-        ``columns`` maps each predictor column to code to its ordered
-        categories, or to ``None`` for its sorted observed values. Classes
-        follow ``class_order``, or the sorted observed classes.
+        ``columns`` maps the target and each predictor column of
+        ``universes`` to its labels, in row order; ``universes`` maps the
+        predictor to its ordered categories, or to ``None`` for its sorted
+        observed values. Classes follow ``class_order``, or the sorted
+        observed classes.
 
         Raises:
-            ChaidError: a record without the target or a coded column, a
-                duplicate or missing class in ``class_order``, or a value
-                outside a column's given categories.
+            ChaidError: a duplicate class in ``class_order``, or a label
+                outside it or outside a column's given categories.
         """
-        labels = _column(records, target, "the target column")
-        observed = set(labels)
+        labels = columns[target]
         if class_order is None:
-            classes = tuple(sorted(observed))
+            classes = tuple(sorted(set(labels)))
         else:
             classes = tuple(str(c) for c in class_order)
             if len(set(classes)) != len(classes):
                 raise ChaidError("duplicate class in class order")
-            undeclared = observed.difference(classes)
-            if undeclared:
-                raise ChaidError(
-                    f"target class {min(undeclared)!r} not in declared class order"
-                )
         code = {label: i for i, label in enumerate(classes)}
-        class_codes = list(map(code.__getitem__, labels))
+        try:
+            class_codes = list(map(code.__getitem__, labels))
+        except KeyError as exc:
+            raise ChaidError(f"target class {exc.args[0]!r} not in declared class order") from None
         categories: dict[str, tuple[str, ...]] = {}
         keys: dict[str, list[int]] = {}
-        for name, universe in columns.items():
-            values = _column(records, name, "column")
-            seen = set(values)
-            cats = tuple(sorted(seen)) if universe is None else tuple(universe)
-            undeclared = seen.difference(cats)
-            if undeclared:
-                raise ChaidError(
-                    f"category {min(undeclared)!r} is not declared for predictor {name!r}"
-                )
+        for name, universe in universes.items():
+            values = columns[name]
+            cats = tuple(sorted(set(values))) if universe is None else tuple(universe)
             base = {cat: rank * len(classes) for rank, cat in enumerate(cats)}
             categories[name] = cats
-            keys[name] = [base[v] + c for v, c in zip(values, class_codes)]
+            try:
+                keys[name] = [base[v] + c for v, c in zip(values, class_codes)]
+            except KeyError as exc:
+                raise ChaidError(
+                    f"category {exc.args[0]!r} is not declared for predictor {name!r}"
+                ) from None
         return cls(classes, class_codes, categories, keys, range(len(labels)))
+
+    @classmethod
+    def from_records(
+        cls,
+        records: Sequence[Mapping[str, object]],
+        target: str,
+        universes: Mapping[str, Sequence[str] | None],
+        class_order: Sequence[str] | None = None,
+    ) -> "CodedRecords":
+        """Code one mapping per row, values as text; a record must hold every coded column."""
+        columns = {}
+        for name in (target, *universes):
+            try:
+                columns[name] = [str(rec[name]) for rec in records]
+            except KeyError:
+                index = next(i for i, rec in enumerate(records) if name not in rec)
+                what = "the target column" if name == target else "column"
+                raise ChaidError(f"record {index} is missing {what} {name!r}") from None
+        return cls.encode(columns, target, universes, class_order)
 
     def at(self, rows: Sequence[int]) -> "CodedRecords":
         """The same coding at the node holding records ``rows``."""
@@ -272,15 +288,6 @@ class CodedRecords:
         return parts
 
 
-def _column(records: Sequence[Mapping[str, object]], name: str, what: str) -> list[str]:
-    """Every record's value of ``name`` as text, in record order."""
-    try:
-        return [str(rec[name]) for rec in records]
-    except KeyError:
-        index = next(i for i, rec in enumerate(records) if name not in rec)
-        raise ChaidError(f"record {index} is missing {what} {name!r}") from None
-
-
 def build_contingency(
     records: Iterable[Mapping[str, object]] | CodedRecords,
     predictor: str,
@@ -301,7 +308,7 @@ def build_contingency(
         ChaidError: ``"empty node"`` for an empty record set.
     """
     if not isinstance(records, CodedRecords):
-        records = CodedRecords.encode(list(records), target, {predictor: None}, class_order)
+        records = CodedRecords.from_records(list(records), target, {predictor: None}, class_order)
     return records.table(predictor)
 
 

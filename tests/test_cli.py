@@ -232,6 +232,41 @@ class TestPredict:
         lines = out.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 2
 
+    def test_warnings_keep_row_order_and_root_to_leaf_order(self, tmp_path, capsys):
+        # x splits the root into node 1 (x=a, 40 rows, then split on z) and
+        # node 2 (x=b, 30 rows, then split on w); node 1 is the larger child.
+        rows = [f"a,{'pq'[i % 2]},{'rs'[i // 2 % 2]},{'uv'[i % 2]}" for i in range(40)]
+        rows += [f"b,{'pq'[i // 2 % 2]},{'rs'[i % 2]},{'mn'[i % 2]}" for i in range(30)]
+        data = tmp_path / "train.csv"
+        data.write_text("x,z,w,y\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        schema = write_schema(
+            tmp_path / "schema.json", cat("x"), cat("z"), cat("w"), cat("y", role="target")
+        )
+        rc, model = train(tmp_path, schema, data)
+        assert rc == 0
+        # Row 1 detours under node 1, row 3 under node 2, and row 2 twice, at
+        # the root and then under node 1; the second of its detours sorts
+        # first as text, so only root-to-leaf order puts it second.
+        novel = tmp_path / "novel.csv"
+        novel.write_text("x,z,w\na,,r\nt,c,r\nb,p,\na,p,r\n", encoding="utf-8")
+        out = tmp_path / "pred.csv"
+        capsys.readouterr()
+        rc = main(["predict", "--model", str(model), "--data", str(novel), "--out", str(out)])
+        assert rc == 0
+        assert capsys.readouterr().err == (
+            "warning: row 1: missing value for predictor 'z'; "
+            "following the largest child (node 3)\n"
+            "warning: row 2: category 't' of predictor 'x' was not seen in training; "
+            "following the largest child (node 1)\n"
+            "warning: row 2: category 'c' of predictor 'z' was not seen in training; "
+            "following the largest child (node 3)\n"
+            "warning: row 3: missing value for predictor 'w'; "
+            "following the largest child (node 5)\n"
+        )
+        assert [line.split(",")[3] for line in out.read_text().splitlines()[1:]] == [
+            "3", "3", "5", "3"
+        ]
+
     def test_corrupt_model_is_one_error_line(self, tmp_path, perfect, capsys):
         _, data = setup_model(tmp_path, perfect)
         broken = tmp_path / "broken.json"
@@ -411,6 +446,28 @@ class TestInspect:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("error: split groups must be a list of lists")
+
+
+    @pytest.mark.parametrize(
+        "field,text", [("children", "12"), ("classes", "uv"), ("categories", "ab")]
+    )
+    def test_string_for_a_list_is_one_error_line(
+        self, tmp_path, perfect, capsys, field, text
+    ):
+        model, _ = setup_model(tmp_path, perfect)
+        doc = json.loads(model.read_text(encoding="utf-8"))
+        holders = {"children": doc["nodes"][0], "classes": doc, "categories": doc["predictors"][0]}
+        holder = holders[field]
+        # The string spells out the list it replaces, so reading it as one
+        # character per item would load the same tree.
+        assert "".join(map(str, holder[field])) == text
+        holder[field] = text
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["inspect", "--model", str(model)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {field} must be a list, not {text!r}"
+        ]
 
 
 class TestExportDot:
