@@ -24,16 +24,6 @@ from .model import Tree, load_model, save_model
 __all__ = ["build_parser", "main", "entrypoint"]
 
 
-#: The growth flags of ``train`` by argument name: the GrowthParams field each sets, and its help.
-_GROWTH_FLAGS = {
-    "alpha_merge": ("alpha_merge", "significance level for category merging"),
-    "alpha_split": ("alpha_split", "significance level a split must reach"),
-    "max_depth": ("max_depth", "maximum tree depth"),
-    "min_parent": ("min_parent_size", "smallest node that may still split"),
-    "min_child": ("min_child_size", "smallest child a split may create"),
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chaidkit",
@@ -49,10 +39,36 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--schema", required=True, help="schema file (JSON)")
     train.add_argument("--model", required=True, help="where to write the model document")
     defaults = GrowthParams()
-    for dest, (name, text) in _GROWTH_FLAGS.items():
-        default = getattr(defaults, name)
-        flag, help_text = "--" + dest.replace("_", "-"), f"{text} (default %(default)s)"
-        train.add_argument(flag, type=type(default), default=default, help=help_text)
+    train.add_argument(
+        "--alpha-merge",
+        type=float,
+        default=defaults.alpha_merge,
+        help="significance level for category merging (default %(default)s)",
+    )
+    train.add_argument(
+        "--alpha-split",
+        type=float,
+        default=defaults.alpha_split,
+        help="significance level a split must reach (default %(default)s)",
+    )
+    train.add_argument(
+        "--max-depth",
+        type=int,
+        default=defaults.max_depth,
+        help="maximum tree depth (default %(default)s)",
+    )
+    train.add_argument(
+        "--min-parent",
+        type=int,
+        default=defaults.min_parent_size,
+        help="smallest node that may still split (default %(default)s)",
+    )
+    train.add_argument(
+        "--min-child",
+        type=int,
+        default=defaults.min_child_size,
+        help="smallest child a split may create (default %(default)s)",
+    )
     train.add_argument("--verbose", action="store_true", help="extra detail on stderr")
 
     predict = sub.add_parser("predict", help="route records through a trained model")
@@ -80,13 +96,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return handlers[args.command](args)
     except (ChaidError, OSError) as exc:
-        flat = " ".join(str(exc).split())
-        print(f"error: {flat}", file=sys.stderr)
+        _fail(str(exc))
         return 1
 
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+def _fail(message: str) -> None:
+    flat = " ".join(str(message).split())
+    print(f"error: {flat}", file=sys.stderr)
 
 
 def _distribution_text(tree: Tree, node_id: int) -> str:
@@ -104,8 +124,13 @@ def _split_predictors(tree: Tree) -> list[str]:
 def cmd_train(args: argparse.Namespace) -> int:
     schema = load_schema(args.schema)
     dataset = load_dataset(args.data, schema)
-    given = {name: getattr(args, dest) for dest, (name, _) in _GROWTH_FLAGS.items()}
-    params = GrowthParams(**given)
+    params = GrowthParams(
+        alpha_merge=args.alpha_merge,
+        alpha_split=args.alpha_split,
+        max_depth=args.max_depth,
+        min_parent_size=args.min_parent,
+        min_child_size=args.min_child,
+    )
     if args.verbose:
         fields = " ".join(f"{name}={value}" for name, value in asdict(params).items())
         print(f"params: {fields}", file=sys.stderr)
@@ -135,26 +160,31 @@ def cmd_predict(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.data, schema, require_target=False, keep_raw=True)
     assert dataset.header is not None and dataset.raw_rows is not None
 
-    with open(args.out, "w", newline="", encoding="utf-8") as handle:
+    out_path = Path(args.out)
+    with open(out_path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, delimiter=schema.delimiter, lineterminator="\n")
         writer.writerow(
             list(dataset.header)
             + ["leaf_id", "predicted_class"]
             + [f"p_{cls}" for cls in tree.classes]
         )
-        leaves = tree.route_columns(
-            dataset.columns,
-            dataset.n_rows,
-            warn=lambda row, note: print(f"warning: row {row + 1}: {note}", file=sys.stderr),
-        )
         # Every row routed to a leaf ends in the same cells: format them once.
         leaf_cells: dict[int, tuple[str, ...]] = {}
-        for leaf_id in dict.fromkeys(leaves):
-            dist = tree.distribution(leaf_id)
-            leaf_cells[leaf_id] = (str(leaf_id), dist.modal_class()) + tuple(
-                repr(dist.probabilities[cls]) for cls in tree.classes
-            )
-        writer.writerows(raw + leaf_cells[leaf] for raw, leaf in zip(dataset.raw_rows, leaves))
+        notes: list[str] = []
+        for row_number, (raw, record) in enumerate(
+            zip(dataset.raw_rows, dataset.iter_records()), start=1
+        ):
+            leaf_id = tree.route(record, warn=notes.append)
+            for note in notes:
+                print(f"warning: row {row_number}: {note}", file=sys.stderr)
+            notes.clear()
+            tail = leaf_cells.get(leaf_id)
+            if tail is None:
+                dist = tree.distribution(leaf_id)
+                tail = leaf_cells[leaf_id] = (str(leaf_id), dist.modal_class()) + tuple(
+                    repr(dist.probabilities[cls]) for cls in tree.classes
+                )
+            writer.writerow(raw + tail)
     return 0
 
 

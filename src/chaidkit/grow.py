@@ -72,7 +72,8 @@ def _grow(
 
     nodes: list[TreeNode] = []
     next_id = 1
-    queue: deque[tuple[int, int, int | None, Sequence[int]]] = deque([(0, 0, None, root.rows)])
+    queue: deque[tuple[int, int, int | None, Sequence[int]]] = deque()
+    queue.append((0, 0, None, root.rows))
     while queue:
         node_id, depth, parent, rows = queue.popleft()
         node = root.at(rows)
@@ -129,6 +130,8 @@ def train_tree(dataset: Dataset, params: GrowthParams = GrowthParams()) -> Tree:
     if not predictors:
         raise ChaidError("schema declares no predictors")
     target = dataset.target_name
+    if target not in dataset.columns:
+        raise ChaidError(f"record 0 is missing the target column {target!r}")
     universes = {spec.name: spec.categories for spec in predictors}
     root = CodedRecords.encode(dataset.columns, target, universes, dataset.classes)
     return _grow(root, predictors, target, params, dataset.schema_echo())

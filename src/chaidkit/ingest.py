@@ -23,7 +23,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import MISSING_LABEL, PredictorSpec
 from .errors import DataError
@@ -142,9 +142,14 @@ def _compute_boundaries(values: Sequence[float], spec: BinningSpec) -> tuple[flo
     return tuple(bounds)
 
 
+def _bin_labels(boundaries: Sequence[float]) -> list[str]:
+    """The interval labels, in order: item ``i`` labels a value with ``i`` boundaries below it."""
+    return [str(i) for i in range(1, len(boundaries) + 2)]
+
+
 def assign_bin(value: float, boundaries: Sequence[float]) -> str:
     """Interval label for a value: 1 + the number of boundaries strictly below it."""
-    return str(bisect_left(boundaries, value) + 1)
+    return _bin_labels(boundaries)[bisect_left(boundaries, value)]
 
 
 def bin_numeric(
@@ -165,7 +170,8 @@ def bin_numeric(
     if not values:
         raise DataError("cannot bin an empty column")
     boundaries = _compute_boundaries(values, spec)
-    return [assign_bin(v, boundaries) for v in values], boundaries
+    labels = _bin_labels(boundaries)
+    return [labels[bisect_left(boundaries, v)] for v in values], boundaries
 
 
 @dataclass(frozen=True)
@@ -352,12 +358,13 @@ class Dataset:
     """Loaded, fully categorical columns plus everything needed to rebuild them.
 
     ``columns`` maps each parsed column to its labels, in row order, over
-    ``n_rows`` rows; :attr:`records` builds one dict per row from them on
-    demand. ``boundaries`` maps each parsed numeric column to its realized
-    bin boundaries; ``missing_counts`` reports per-column missing cells (for
-    a float-scale predictor these became its floating category). ``header``
-    and ``raw_rows`` are kept only when loading asked for them, so
-    prediction output can echo the input verbatim.
+    ``n_rows`` rows; :meth:`iter_records` and :attr:`records` build one
+    dict per row from them on demand. ``boundaries`` maps each parsed
+    numeric column to its realized bin boundaries; ``missing_counts``
+    reports per-column missing cells (for a float-scale predictor these
+    became its floating category). ``header`` and ``raw_rows`` are kept
+    only when loading asked for them, so prediction output can echo the
+    input verbatim.
     """
 
     schema: DatasetSchema
@@ -368,13 +375,16 @@ class Dataset:
     header: tuple[str, ...] | None = None
     raw_rows: tuple[tuple[str, ...], ...] | None = None
 
+    def iter_records(self) -> Iterator[dict[str, str]]:
+        """One dict per row, column name to label, each built as it is reached."""
+        names = tuple(self.columns)
+        rows = zip(*self.columns.values()) if names else [()] * self.n_rows
+        return (dict(zip(names, labels)) for labels in rows)
+
     @property
     def records(self) -> tuple[dict[str, str], ...]:
-        """One dict per row, column name to label, built from the columns."""
-        return tuple(
-            {name: labels[r] for name, labels in self.columns.items()}
-            for r in range(self.n_rows)
-        )
+        """Every row's dict from :meth:`iter_records`."""
+        return tuple(self.iter_records())
 
     @property
     def target_name(self) -> str:
@@ -387,15 +397,17 @@ class Dataset:
 
     def predictor_specs(self) -> tuple[PredictorSpec, ...]:
         """One PredictorSpec per predictor column, in schema order."""
-        return tuple(
-            PredictorSpec(
-                name=col.name,
-                scale=col.effective_scale,
-                categories=self._universe(col),
-                float_category=col.effective_float_category,
+        specs = []
+        for col in self.schema.predictors:
+            specs.append(
+                PredictorSpec(
+                    name=col.name,
+                    scale=col.effective_scale,
+                    categories=self._universe(col),
+                    float_category=col.effective_float_category,
+                )
             )
-            for col in self.schema.predictors
-        )
+        return tuple(specs)
 
     @cached_property
     def _observed(self) -> dict[str, list[str]]:
@@ -410,7 +422,7 @@ class Dataset:
         """A column's ordered labels: bins, else the declared list, else the sorted observed."""
         if col.kind == "numeric":
             bounds = self.boundaries.get(col.name, ())
-            return [str(i) for i in range(1, len(bounds) + 2)]
+            return _bin_labels(bounds)
         if col.categories is not None:
             return list(col.categories)
         return self._observed.get(col.name, [])
@@ -555,8 +567,7 @@ def load_dataset(
             assert col.binning is not None
             bounds = _compute_boundaries(values, col.binning)
             boundaries[col.name] = bounds
-            # One string per bin, shared by its rows: the labels assign_bin gives.
-            names = [str(i) for i in range(1, len(bounds) + 2)]
+            names = _bin_labels(bounds)
             labels = [blank] * n
             for r, value in zip(value_rows, values):
                 labels[r] = names[bisect_left(bounds, value)]

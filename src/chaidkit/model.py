@@ -91,7 +91,14 @@ class ClassDistribution:
 
     def modal_class(self) -> str:
         """Most probable class; ties break toward the earliest declared class."""
-        return max(self.probabilities, key=self.probabilities.__getitem__)
+        best = None
+        best_p = -1.0
+        for cls, p in self.probabilities.items():
+            if p > best_p:
+                best = cls
+                best_p = p
+        assert best is not None
+        return best
 
 
 @dataclass(frozen=True)
@@ -162,46 +169,9 @@ class Tree:
                 if on_novel == "error":
                     raise ModelError(f"unroutable record: {cause}")
                 if warn is not None:
-                    warn(_detour_note(cause, child_id))
+                    warn(f"{cause}; following the largest child (node {child_id})")
             node = self.nodes[child_id]
         return node.id
-
-    def route_columns(
-        self,
-        columns: Mapping[str, Sequence[str]],
-        n_rows: int,
-        *,
-        warn: Callable[[int, str], None] | None = None,
-    ) -> list[int]:
-        """Route rows given as label columns, in one batch; return each row's leaf id.
-
-        Row ``r`` holds ``columns[name][r]``; a predictor without a column is
-        missing. Each node hands its row-index list on to its children, so
-        a row reaches the leaf :meth:`route` gives its record, with the same
-        detours: ``warn`` gets ``(row, message)`` in row order, root to leaf.
-        """
-        leaves = [0] * n_rows
-        notes: list[tuple[int, str]] = []
-        pending: list[tuple[TreeNode, Sequence[int]]] = [(self.nodes[0], range(n_rows))]
-        while pending:
-            node, rows = pending.pop()
-            if node.split is None:
-                for r in rows:
-                    leaves[r] = node.id
-                continue
-            column = columns.get(node.split.predictor) or [None] * n_rows
-            parts: dict[int, list[int]] = {child_id: [] for child_id in node.children}
-            lookup = self._child_of[node.id].get
-            for r, child_id in zip(rows, map(lookup, map(column.__getitem__, rows))):
-                if child_id is None:
-                    child_id, cause = self._detour(node, column[r])
-                    notes.append((r, _detour_note(cause, child_id)))
-                parts[child_id].append(r)
-            pending.extend((self.nodes[c], part) for c, part in parts.items() if part)
-        if warn is not None:
-            for r, message in sorted(notes, key=lambda note: note[0]):
-                warn(r, message)
-        return leaves
 
     @cached_property
     def _child_of(self) -> list[dict[str, int]]:
@@ -265,7 +235,9 @@ class Tree:
                         "predictor": node.split.predictor,
                         "groups": [list(g) for g in node.split.partition.groups],
                     },
-                    "stop_reason": node.stop_reason and node.stop_reason.value,
+                    "stop_reason": None
+                    if node.stop_reason is None
+                    else node.stop_reason.value,
                 }
                 for node in self.nodes
             ],
@@ -363,10 +335,6 @@ class Tree:
                 lines.append(f'  n{node.id} -> n{child_id} [label="{label}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
-
-
-def _detour_note(cause: str, child_id: int) -> str:
-    return f"{cause}; following the largest child (node {child_id})"
 
 
 def _dot_escape(text: str) -> str:

@@ -2,17 +2,24 @@
 
 from __future__ import annotations
 
+import contextlib
+import csv
 import hashlib
+import io
 import json
+import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chaidkit import Scale, load_model, save_model
 from chaidkit.cli import main
-from chaidkit.ingest import BinningSpec, ColumnSpec, DatasetSchema
+from chaidkit.ingest import MISSING_LABEL, BinningSpec, ColumnSpec, DatasetSchema
 from conftest import sales_fixture_tree
 
 SHIPPED_DATA = Path(__file__).resolve().parent.parent / "data"
@@ -267,6 +274,18 @@ class TestPredict:
             "3", "3", "5", "3"
         ]
 
+    def test_a_tree_without_splits_predicts_every_row(self, tmp_path):
+        schema = write_schema(tmp_path / "schema.json", cat("x"), cat("y", role="target"))
+        data = tmp_path / "train.csv"
+        data.write_text("x,y\n" + "a,u\nb,v\n" * 2, encoding="utf-8")
+        rc, model = train(tmp_path, schema, data)
+        assert rc == 0 and len(load_model(model).nodes) == 1
+        out = tmp_path / "pred.csv"
+        assert main(["predict", "--model", str(model), "--data", str(data), "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8").splitlines()[1:] == [
+            "a,u,0,u,0.5,0.5", "b,v,0,u,0.5,0.5"
+        ] * 2
+
     def test_corrupt_model_is_one_error_line(self, tmp_path, perfect, capsys):
         _, data = setup_model(tmp_path, perfect)
         broken = tmp_path / "broken.json"
@@ -305,6 +324,79 @@ class TestPredict:
         rc = main(["predict", "--model", str(model), "--data", str(data), "--out", str(out)])
         assert rc == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+@st.composite
+def predict_inputs(draw):
+    """A schema, training rows that grow a tree under lenient alphas, and rows to predict.
+
+    The prediction rows carry unseen categories and blanks in float and
+    non-float predictors, with the columns in another order.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    scales = draw(st.lists(st.sampled_from(list(Scale)), min_size=1, max_size=3))
+    floats = [draw(st.sampled_from([None, "f"])) if s is Scale.FLOAT else None for s in scales]
+    names = [f"x{j}" for j in range(len(scales))]
+    predictors = [
+        cat(name, scale=scale, float_category=fc) for name, scale, fc in zip(names, scales, floats)
+    ]
+    cats = "abcd"[: draw(st.integers(2, 4))]
+    classes = "uvw"[: draw(st.integers(2, 3))]
+    training = [names + ["y"]]
+    for _ in range(draw(st.integers(30, 120))):
+        cells = [rng.choice(cats) for _ in names]
+        # Training may leave only float-scale cells blank.
+        cells = [
+            "" if scale is Scale.FLOAT and rng.random() < 0.2 else cell
+            for cell, scale in zip(cells, scales)
+        ]
+        # The class leans on the first two predictors, so trees get depth.
+        signal = sum(cats.find(cell) for cell in cells[:2]) % len(classes)
+        training.append(cells + [classes[signal] if rng.random() < 0.8 else rng.choice(classes)])
+    header = draw(st.permutations(names))
+    values = list(cats) + ["z", ""]
+    rows = [[rng.choice(values) for _ in header] for _ in range(draw(st.integers(1, 60)))]
+    return predictors, training, [header] + rows
+
+
+def write_rows(path, rows):
+    # The csv module quotes a lone blank cell, which a bare empty line would lose.
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(rows)
+    return path
+
+
+class TestPredictMatchesRoute:
+    @given(predict_inputs())
+    @settings(max_examples=60, deadline=None)
+    def test_each_row_gets_the_leaf_and_warnings_route_gives(self, inputs):
+        predictors, training, predicting = inputs
+        with tempfile.TemporaryDirectory() as tmp:
+            work = Path(tmp)
+            schema = write_schema(work / "schema.json", *predictors, cat("y", role="target"))
+            data = write_rows(work / "train.csv", training)
+            novel = write_rows(work / "novel.csv", predicting)
+            out, err = work / "pred.csv", io.StringIO()
+            lenient = "--alpha-merge 0.3 --alpha-split 0.5 --max-depth 4 --min-parent 4 --min-child 2"
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc, model = train(work, schema, data, *lenient.split())
+                assert rc == 0, err.getvalue()
+                argv = ["predict", "--model", str(model), "--data", str(novel), "--out", str(out)]
+                assert main(argv) == 0
+            tree = load_model(model)
+            predicted = list(csv.reader(out.read_text(encoding="utf-8").splitlines()))
+        leaves = [int(row[len(predicting[0])]) for row in predicted[1:]]
+        # The oracle: a blank cell loads as the floating category or the missing label.
+        blank = {spec.name: spec.effective_float_category or MISSING_LABEL for spec in predictors}
+        expected_leaves, expected_err = [], []
+        header, *rows = predicting
+        for number, cells in enumerate(rows, start=1):
+            record = {name: cell or blank[name] for name, cell in zip(header, cells)}
+            notes: list[str] = []
+            expected_leaves.append(tree.route(record, warn=notes.append))
+            expected_err += [f"warning: row {number}: {note}\n" for note in notes]
+        assert leaves == expected_leaves
+        assert err.getvalue() == "".join(expected_err)
 
 
 class TestCustomFloatCategory:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import random
 
 import pytest
@@ -16,8 +17,11 @@ from chaidkit import (
     build_contingency,
     chi_square_test,
     grow_tree,
+    load_dataset,
+    train_tree,
 )
 from chaidkit.core import StopReason
+from chaidkit.ingest import ColumnSpec, DatasetSchema
 from conftest import partition_count_oracle
 
 
@@ -164,6 +168,14 @@ class TestGrowValidation:
         pred = PredictorSpec("x", Scale.FREE, ("a", "b"), None)
         with pytest.raises(ChaidError, match="missing the target column"):
             grow_tree([{"x": "a"}], [pred], "y", GrowthParams())
+
+    def test_dataset_loaded_without_its_target(self):
+        schema = DatasetSchema(
+            (ColumnSpec("x", "predictor", "categorical"), ColumnSpec("y", "target", "categorical"))
+        )
+        dataset = load_dataset(io.StringIO("x\na\nb\n"), schema, require_target=False)
+        with pytest.raises(ChaidError, match="record 0 is missing the target column 'y'"):
+            train_tree(dataset)
 
     def test_undeclared_class_rejected(self):
         pred = PredictorSpec("x", Scale.FREE, ("a", "b"), None)

@@ -2,28 +2,13 @@
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from chaidkit import (
-    DatasetSchema,
-    GrowthParams,
-    ModelError,
-    Scale,
-    Tree,
-    load_dataset,
-    load_model,
-    save_model,
-    train_tree,
-)
+from chaidkit import GrowthParams, ModelError, Tree, load_model, save_model
 from chaidkit.core import CategoryPartition, StopReason
-from chaidkit.ingest import ColumnSpec
 from chaidkit.model import ClassDistribution, NodeSplit, TreeNode
 from conftest import TERMINAL_NODE_IDS, random_tree, sales_fixture_tree
 
@@ -134,72 +119,6 @@ class TestRouting:
         tied = Tree.from_document(doc)
         assert tied.nodes[1].size == tied.nodes[2].size
         assert tied.route({"x": "zzz"}) == 1
-
-
-def _csv_text(rows):
-    # The csv module quotes a lone blank cell, which a bare empty line would lose.
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerows(rows)
-    buffer.seek(0)
-    return buffer
-
-
-@st.composite
-def routing_inputs(draw):
-    """A tree grown with lenient alphas on a random schema, and rows to route.
-
-    The prediction rows carry unseen categories and blanks in float and
-    non-float predictors; one predictor column may be left out altogether.
-    """
-    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    scales = draw(st.lists(st.sampled_from(list(Scale)), min_size=1, max_size=3))
-    floats = [draw(st.sampled_from([None, "f"])) if s is Scale.FLOAT else None for s in scales]
-    names = [f"x{j}" for j in range(len(scales))]
-    schema = DatasetSchema(
-        tuple(
-            ColumnSpec(name, "predictor", "categorical", scale=scale, float_category=fc)
-            for name, scale, fc in zip(names, scales, floats)
-        )
-        + (ColumnSpec("y", "target", "categorical"),)
-    )
-    cats = "abcd"[: draw(st.integers(2, 4))]
-    classes = "uvw"[: draw(st.integers(2, 3))]
-    lines = [names + ["y"]]
-    for _ in range(draw(st.integers(30, 120))):
-        cells = [rng.choice(cats) for _ in names]
-        # Training may leave only float-scale cells blank.
-        cells = [
-            "" if scale is Scale.FLOAT and rng.random() < 0.2 else cell
-            for cell, scale in zip(cells, scales)
-        ]
-        # The class leans on the first two predictors, so trees get depth.
-        signal = sum(cats.find(cell) for cell in cells[:2]) % len(classes)
-        lines.append(cells + [classes[signal] if rng.random() < 0.8 else rng.choice(classes)])
-    params = GrowthParams(
-        alpha_merge=0.3, alpha_split=0.5, max_depth=4, min_parent_size=4, min_child_size=2
-    )
-    tree = train_tree(load_dataset(_csv_text(lines), schema), params)
-    values = list(cats) + ["z", ""]
-    rows = [[rng.choice(values) for _ in names] for _ in range(draw(st.integers(1, 60)))]
-    echo = DatasetSchema.from_doc(tree.schema)
-    dataset = load_dataset(_csv_text([names] + rows), echo, require_target=False)
-    dropped = draw(st.sampled_from([None] + names))
-    columns = {name: labels for name, labels in dataset.columns.items() if name != dropped}
-    return tree, columns, dataset.n_rows
-
-
-class TestBatchRouting:
-    @given(routing_inputs())
-    @settings(max_examples=80, deadline=None)
-    def test_matches_route_row_by_row(self, inputs):
-        tree, columns, n_rows = inputs
-        batch: list[tuple[int, str]] = []
-        leaves = tree.route_columns(columns, n_rows, warn=lambda r, m: batch.append((r, m)))
-        oracle: list[tuple[int, str]] = []
-        for r, leaf in enumerate(leaves):
-            record = {name: labels[r] for name, labels in columns.items()}
-            assert tree.route(record, warn=lambda m: oracle.append((r, m))) == leaf
-        assert batch == oracle
 
 
 class TestDistributions:
