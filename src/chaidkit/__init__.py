@@ -19,6 +19,7 @@ from .grow import grow_tree, train_tree
 from .ingest import DatasetSchema, load_dataset, load_schema
 from .model import Tree, load_model, save_model
 from .stats import (
+    CodedRecords,
     ContingencyTable,
     Scale,
     bonferroni_multiplier,
@@ -38,6 +39,7 @@ __all__ = [
     "GrowthParams",
     "PredictorSpec",
     "ContingencyTable",
+    "CodedRecords",
     "build_contingency",
     "merge_categories",
     "evaluate_predictor",

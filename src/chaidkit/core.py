@@ -289,12 +289,7 @@ def merge_categories(
 
 
 def evaluate_predictor(
-    records: Sequence[Mapping[str, object]] | CodedRecords,
-    predictor: PredictorSpec,
-    target: str,
-    alpha_merge: float,
-    *,
-    class_order: Sequence[str] | None = None,
+    node: CodedRecords, predictor: PredictorSpec, alpha_merge: float
 ) -> SplitCandidate | None:
     """Score one predictor at a node: count, merge, test, and penalise.
 
@@ -304,9 +299,9 @@ def evaluate_predictor(
     ``c`` observed categories could have been reduced to ``r`` groups
     (capped at 1). Returns ``None`` when no split is possible: a single
     merged group, a single observed category, or a single observed target
-    class. ``records`` may be a coded node, as for :func:`build_contingency`.
+    class.
     """
-    table = build_contingency(records, predictor.name, target, class_order=class_order)
+    table = build_contingency(node, predictor.name)
     partition = merge_categories(table, predictor, alpha_merge)
     if len(partition.groups) < 2 or table.n_cols < 2:
         return None
@@ -329,12 +324,7 @@ def evaluate_predictor(
 
 
 def best_split(
-    records: Sequence[Mapping[str, object]] | CodedRecords,
-    predictors: Sequence[PredictorSpec],
-    target: str,
-    params: GrowthParams,
-    *,
-    class_order: Sequence[str] | None = None,
+    node: CodedRecords, predictors: Sequence[PredictorSpec], params: GrowthParams
 ) -> SplitCandidate | None:
     """Pick the predictor whose merged split has the smallest adjusted p-value.
 
@@ -342,15 +332,12 @@ def best_split(
     ``params.alpha_split``. Candidates rank by log adjusted p-value,
     ``min(0, log multiplier + log raw p)``, which stays finite where linear
     p-values underflow; ties break by log raw p-value, then by position in
-    ``predictors``. ``records`` may be a coded node, as for
-    :func:`build_contingency`.
+    ``predictors``.
     """
     best: SplitCandidate | None = None
     best_key: tuple[float, float, int] | None = None
     for index, predictor in enumerate(predictors):
-        candidate = evaluate_predictor(
-            records, predictor, target, params.alpha_merge, class_order=class_order
-        )
+        candidate = evaluate_predictor(node, predictor, params.alpha_merge)
         if candidate is None:
             continue
         log_adjusted = min(0.0, math.log(candidate.multiplier) + candidate.log_raw_p)

@@ -13,12 +13,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Mapping, Sequence
 
-from .core import (
-    GrowthParams,
-    PredictorSpec,
-    best_split,
-    should_stop,
-)
+from .core import GrowthParams, PredictorSpec, best_split, should_stop
 from .errors import ChaidError
 from .ingest import Dataset
 from .model import NodeSplit, Tree, TreeNode
@@ -78,7 +73,7 @@ def _grow(
         node_id, depth, parent, rows = queue.popleft()
         node = root.at(rows)
         class_counts = node.class_counts()
-        candidate = best_split(node, predictors, target, params, class_order=classes)
+        candidate = best_split(node, predictors, params)
         reason = should_stop(depth, len(rows), len(class_counts), candidate, params)
         if reason is not None:
             nodes.append(

@@ -14,7 +14,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import ChaidError
 
@@ -49,6 +49,21 @@ class Scale(str, Enum):
     FLOAT = "float"
 
 
+def _check_shape(
+    row_labels: Sequence[object], col_labels: Sequence[str], counts: Sequence[Sequence[int]]
+) -> None:
+    """Refuse counts that are not one non-negative cell per row and column label, or empty."""
+    if len(counts) != len(row_labels):
+        raise ChaidError("counts row dimension does not match row labels")
+    for row in counts:
+        if len(row) != len(col_labels):
+            raise ChaidError("counts column dimension does not match column labels")
+        if any(v < 0 for v in row):
+            raise ChaidError("negative cell count")
+    if not counts or not col_labels:
+        raise ChaidError("empty table")
+
+
 @dataclass(frozen=True)
 class ContingencyTable:
     """Joint counts of predictor categories (rows) against target classes (columns).
@@ -64,15 +79,7 @@ class ContingencyTable:
     counts: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if len(self.counts) != len(self.row_labels):
-            raise ChaidError("counts row dimension does not match row labels")
-        for row in self.counts:
-            if len(row) != len(self.col_labels):
-                raise ChaidError("counts column dimension does not match column labels")
-            if any(v < 0 for v in row):
-                raise ChaidError("negative cell count")
-        if not self.counts or not self.col_labels:
-            raise ChaidError("empty table")
+        _check_shape(self.row_labels, self.col_labels, self.counts)
         for i, row in enumerate(self.counts):
             if sum(row) == 0:
                 raise ChaidError(f"all-zero row {self.row_labels[i]}")
@@ -90,15 +97,10 @@ class ContingencyTable:
         """Build a table, dropping rows and columns whose total is zero."""
         rows = [tuple(r) for r in counts]
         labels = [(lbl,) if isinstance(lbl, str) else tuple(lbl) for lbl in row_labels]
-        if len(rows) != len(labels):
-            raise ChaidError("counts row dimension does not match row labels")
-        for row in rows:
-            if any(v < 0 for v in row):
-                raise ChaidError("negative cell count")
+        _check_shape(labels, col_labels, rows)
         keep_rows = [i for i, r in enumerate(rows) if sum(r) > 0]
         keep_cols = [j for j in range(len(col_labels)) if sum(r[j] for r in rows) > 0]
-        if not keep_rows or not keep_cols:
-            raise ChaidError("empty table")
+        # A table left with no line is refused as empty by the constructor.
         return cls(
             row_labels=tuple(labels[i] for i in keep_rows),
             col_labels=tuple(col_labels[j] for j in keep_cols),
@@ -170,10 +172,10 @@ class CodedRecords:
     ``classes`` orders the target classes and ``class_codes[i]`` is the
     index of record ``i``'s class in it. For each coded column,
     ``categories[name]`` orders its categories and ``keys[name][i]`` is
-    ``category rank * len(classes) + class code`` of record ``i``, so one
-    counting pass over a node's keys gives its contingency table. ``rows``
-    lists the indices of the node's records; :meth:`at` moves to another
-    node without coding anything again.
+    ``category rank * len(classes) + class code`` of record ``i``, so
+    :func:`build_contingency` counts a node's table in one pass over its
+    keys. ``rows`` lists the indices of the node's records; :meth:`at`
+    moves to another node without coding anything again.
     """
 
     classes: tuple[str, ...]
@@ -252,21 +254,6 @@ class CodedRecords:
         """The same coding at the node holding records ``rows``."""
         return replace(self, rows=rows)
 
-    def table(self, name: str) -> ContingencyTable:
-        """The node's per-category table of column ``name``, in category order.
-
-        Raises:
-            ChaidError: ``"empty node"`` when the node holds no records.
-        """
-        if not self.rows:
-            raise ChaidError("empty node")
-        n_classes = len(self.classes)
-        cats = self.categories[name]
-        grid = [[0] * n_classes for _ in cats]
-        for key, count in Counter(map(self.keys[name].__getitem__, self.rows)).items():
-            grid[key // n_classes][key % n_classes] = count
-        return ContingencyTable.from_counts(cats, self.classes, grid)
-
     def class_counts(self) -> dict[str, int]:
         """The node's record count per observed class, in class order."""
         counts = Counter(map(self.class_codes.__getitem__, self.rows))
@@ -288,28 +275,26 @@ class CodedRecords:
         return parts
 
 
-def build_contingency(
-    records: Iterable[Mapping[str, object]] | CodedRecords,
-    predictor: str,
-    target: str,
-    *,
-    class_order: Sequence[str] | None = None,
-) -> ContingencyTable:
-    """Count joint occurrences of a predictor's categories and target classes.
+def build_contingency(node: CodedRecords, predictor: str) -> ContingencyTable:
+    """Count a coded node's joint occurrences of a predictor's categories and target classes.
 
-    Every observed category is its own row, in sorted category order;
-    :meth:`ContingencyTable.merge_rows` sums the rows per group of a
-    partition. Columns follow ``class_order`` (or sorted class order). Zero
-    rows and columns are dropped. ``records`` may also be a coded node
-    (:class:`CodedRecords`): its coding then fixes the target, the class
-    order and the row order, and the node is counted without recoding.
+    Every category the node holds is its own row, in the coding's category
+    order; :meth:`ContingencyTable.merge_rows` sums the rows per group of a
+    partition. Columns follow the coding's class order. Zero rows and
+    columns are dropped. Plain records are coded first, with
+    :meth:`CodedRecords.from_records`.
 
     Raises:
-        ChaidError: ``"empty node"`` for an empty record set.
+        ChaidError: ``"empty node"`` when the node holds no records.
     """
-    if not isinstance(records, CodedRecords):
-        records = CodedRecords.from_records(list(records), target, {predictor: None}, class_order)
-    return records.table(predictor)
+    if not node.rows:
+        raise ChaidError("empty node")
+    n_classes = len(node.classes)
+    cats = node.categories[predictor]
+    grid = [[0] * n_classes for _ in cats]
+    for key, count in Counter(map(node.keys[predictor].__getitem__, node.rows)).items():
+        grid[key // n_classes][key % n_classes] = count
+    return ContingencyTable.from_counts(cats, node.classes, grid)
 
 
 def chi_square_log_p_value(statistic: float, df: int) -> float:

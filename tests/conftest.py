@@ -10,6 +10,7 @@ from scipy.integrate import quad
 
 from chaidkit import (
     ChaidError,
+    CodedRecords,
     ContingencyTable,
     GrowthParams,
     PredictorSpec,
@@ -160,6 +161,16 @@ def merge_by_recomputing(
         groups[i] += groups.pop(j)
         counts[i] = [a + b for a, b in zip(counts[i], counts.pop(j))]
     return tuple(tuple(sorted(group, key=order.__getitem__)) for group in groups)
+
+
+def coded(
+    records: Sequence[Mapping[str, object]],
+    *predictors: str,
+    target: str = "y",
+    class_order: Sequence[str] | None = None,
+) -> CodedRecords:
+    """The root node of ``records``, each predictor coded over its sorted observed values."""
+    return CodedRecords.from_records(records, target, dict.fromkeys(predictors), class_order)
 
 
 def records_from_counts(

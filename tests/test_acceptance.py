@@ -38,6 +38,7 @@ from conftest import (
     TERMINAL_NODE_IDS,
     TIPE_CATEGORIES,
     chi2_upper_tail_by_integration,
+    coded,
     partition_count_oracle,
     random_tree,
     sales_fixture_tree,
@@ -178,7 +179,7 @@ def test_independent_data_trains_to_a_single_node():
     params = GrowthParams()
     for spec in predictors:
         candidate = evaluate_predictor(
-            records, spec, "y", params.alpha_merge, class_order=("u", "v")
+            coded(records, spec.name, class_order=("u", "v")), spec, params.alpha_merge
         )
         assert candidate is not None
         assert candidate.adjusted_p > 0.05, spec.name

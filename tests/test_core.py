@@ -24,6 +24,7 @@ from chaidkit import (
 )
 from chaidkit.core import CategoryPartition, SplitCandidate, StopReason, should_stop
 from conftest import (
+    coded,
     merge_by_recomputing,
     multi_records_from_counts,
     partition_count_oracle,
@@ -37,7 +38,7 @@ def spec(categories, scale=Scale.FREE, name="x", float_category=None):
 
 def counted(records):
     """The node's per-category table, as the merge loop receives it."""
-    return build_contingency(records, "x", "y")
+    return build_contingency(coded(records, "x"), "x")
 
 
 def scipy_p(rows):
@@ -142,7 +143,7 @@ class TestMergeCategories:
 
     def test_empty_node(self):
         with pytest.raises(ChaidError, match="empty node"):
-            evaluate_predictor([], spec("AB"), "y", 0.05)
+            evaluate_predictor(coded([], "x"), spec("AB"), 0.05)
 
     def test_undeclared_category(self):
         records = records_from_counts({("Z", "u"): 1})
@@ -211,11 +212,11 @@ class TestMergeCategories:
 class TestEvaluatePredictor:
     def test_single_observed_category_absent(self):
         records = records_from_counts({("A", "u"): 5, ("A", "v"): 5})
-        assert evaluate_predictor(records, spec("AB"), "y", 0.05) is None
+        assert evaluate_predictor(coded(records, "x"), spec("AB"), 0.05) is None
 
     def test_single_class_absent(self):
         records = records_from_counts({("A", "u"): 5, ("B", "u"): 5})
-        assert evaluate_predictor(records, spec("AB"), "y", 0.05) is None
+        assert evaluate_predictor(coded(records, "x"), spec("AB"), 0.05) is None
 
     def test_multiplier_and_adjustment(self):
         counts = {
@@ -227,7 +228,7 @@ class TestEvaluatePredictor:
         }
         records = records_from_counts(counts)
         candidate = evaluate_predictor(
-            records, spec([f"c{i}" for i in range(1, 6)], Scale.MONOTONIC), "y", 0.05
+            coded(records, "x"), spec([f"c{i}" for i in range(1, 6)], Scale.MONOTONIC), 0.05
         )
         assert candidate is not None
         assert candidate.partition.groups == (("c1", "c2"), ("c3",), ("c4", "c5"))
@@ -246,7 +247,7 @@ class TestEvaluatePredictor:
             counts[(cat, "u")] = base
             counts[(cat, "v")] = 40 - base
         records = records_from_counts(counts)
-        candidate = evaluate_predictor(records, spec("ABCDE"), "y", 0.5)
+        candidate = evaluate_predictor(coded(records, "x"), spec("ABCDE"), 0.5)
         assert candidate is not None
         assert candidate.adjusted_p == 1.0
 
@@ -271,11 +272,9 @@ class TestEvaluatePredictor:
         class_order = data.draw(st.sampled_from([classes, classes[::-1]]))
         alpha_merge = data.draw(st.sampled_from([0.05, 0.5]))
         candidate = evaluate_predictor(
-            records,
+            coded(records, "x", class_order=class_order),
             spec(cats, scale, float_category=float_cat),
-            "y",
             alpha_merge,
-            class_order=class_order,
         )
         observed_cats = {cat for cat, _ in counts}
         observed_classes = {cls for _, cls in counts}
@@ -284,7 +283,7 @@ class TestEvaluatePredictor:
             return
         assert candidate is not None
         recount = build_contingency(
-            records, "x", "y", class_order=class_order
+            coded(records, "x", class_order=class_order), "x"
         ).merge_rows(candidate.partition.groups)
         reference = chi_square_test(recount)
         assert candidate.statistic == reference.statistic
@@ -304,9 +303,8 @@ class TestBestSplit:
             counts[(x, noise, cls)] = counts.get((x, noise, cls), 0) + 1
         records = multi_records_from_counts(counts, ["x", "z"])
         candidate = best_split(
-            records,
+            coded(records, "x", "z"),
             [spec("ab", name="x"), spec("pqr", name="z")],
-            "y",
             GrowthParams(),
         )
         assert candidate is not None
@@ -319,9 +317,8 @@ class TestBestSplit:
             counts[(cat, cat, cls)] = n
         records = multi_records_from_counts(counts, ["x1", "x2"])
         candidate = best_split(
-            records,
+            coded(records, "x1", "x2"),
             [spec("ab", name="x1"), spec("ab", name="x2")],
-            "y",
             GrowthParams(),
         )
         assert candidate is not None
@@ -338,8 +335,8 @@ class TestBestSplit:
             counts[(other, cls, cls)] = 3500
         records = multi_records_from_counts(counts, ["a", "b"])
         predictors = [spec("uv", name="a"), spec("uv", name="b")]
-        weaker = evaluate_predictor(records, predictors[0], "y", 0.05)
-        candidate = best_split(records, predictors, "y", GrowthParams())
+        weaker = evaluate_predictor(coded(records, "a"), predictors[0], 0.05)
+        candidate = best_split(coded(records, "a", "b"), predictors, GrowthParams())
         assert weaker.statistic == pytest.approx(1800.0)
         assert candidate.statistic == pytest.approx(7200.0)
         assert weaker.raw_p == candidate.raw_p == 0.0
@@ -352,7 +349,7 @@ class TestBestSplit:
             ("b", "u"): 24, ("b", "v"): 26,
         }
         records = records_from_counts(counts)
-        assert best_split(records, [spec("ab")], "y", GrowthParams()) is None
+        assert best_split(coded(records, "x"), [spec("ab")], GrowthParams()) is None
 
 
 def _candidate(group_sizes=(50, 50), raw_p=0.001, multiplier=2):

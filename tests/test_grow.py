@@ -22,7 +22,7 @@ from chaidkit import (
 )
 from chaidkit.core import StopReason
 from chaidkit.ingest import ColumnSpec, DatasetSchema
-from conftest import partition_count_oracle
+from conftest import coded, partition_count_oracle
 
 
 def _random_records(rng, n_rows, n_predictors, n_cats, n_classes):
@@ -38,7 +38,7 @@ def _random_records(rng, n_rows, n_predictors, n_cats, n_classes):
             record[pred.name] = rng.choice(pred.categories)
         # Leak some signal through the first predictor so trees get depth.
         if rng.random() < 0.6:
-            record["y"] = classes[hash(record["x0"]) % n_classes]
+            record["y"] = classes[predictors[0].categories.index(record["x0"]) % n_classes]
         records.append(record)
     return records, predictors
 
@@ -105,7 +105,7 @@ class TestGrowProperties:
             subset = members[node.id]
             spec = spec_by_name[node.split.predictor]
             table = build_contingency(
-                subset, node.split.predictor, "y", class_order=tree.classes
+                coded(subset, spec.name, class_order=tree.classes), spec.name
             ).merge_rows(node.split.partition.groups)
             result = chi_square_test(table)
             observed = {r[spec.name] for r in subset}

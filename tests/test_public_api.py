@@ -17,6 +17,7 @@ DOCUMENTED = {
     "GrowthParams",
     "PredictorSpec",
     "ContingencyTable",
+    "CodedRecords",
     "build_contingency",
     "merge_categories",
     "evaluate_predictor",
@@ -79,5 +80,11 @@ def test_benchmark_tracer_wraps_the_growth_layers(monkeypatch):
         tracer.remove()
     assert (grow.best_split, core.merge_categories, core.build_contingency) == original
     # Training still reaches every wrapped layer through its module globals.
-    for name in ("core.best_split", "core.merge_categories", "stats.build_contingency"):
+    for name in (
+        "core.best_split",
+        "core.merge_categories",
+        "stats.build_contingency",
+        "stats.chi_square_test",
+        "stats.bonferroni_multiplier",
+    ):
         assert tracer.named(name), name

@@ -24,6 +24,7 @@ from chaidkit import (
 from chaidkit.stats import chi_square_log_p_value
 from conftest import (
     chi2_upper_tail_by_integration,
+    coded,
     partition_count_oracle,
     records_from_counts,
 )
@@ -97,7 +98,7 @@ class TestContingency:
         records = records_from_counts(
             {("A", "yes"): 1, ("A", "no"): 1, ("B", "yes"): 1, ("B", "no"): 1}
         )
-        table = build_contingency(records, "x", "y")
+        table = build_contingency(coded(records, "x"), "x")
         assert table.counts == ((1, 1), (1, 1))
         assert table.row_labels == (("A",), ("B",))
         assert table.col_labels == ("no", "yes")
@@ -106,7 +107,7 @@ class TestContingency:
         records = records_from_counts(
             {("A", "yes"): 2, ("B", "no"): 2}
         )
-        table = build_contingency(records, "x", "y")
+        table = build_contingency(coded(records, "x"), "x")
         assert table.counts == ((0, 2), (2, 0))
 
     def test_partition_rows_sum_member_rows(self):
@@ -116,25 +117,34 @@ class TestContingency:
             ("C", "u"): 4, ("C", "v"): 4,
         }
         records = records_from_counts(counts)
-        merged = build_contingency(records, "x", "y").merge_rows([("A", "B"), ("C",)])
-        plain = build_contingency(records, "x", "y")
+        merged = build_contingency(coded(records, "x"), "x").merge_rows([("A", "B"), ("C",)])
+        plain = build_contingency(coded(records, "x"), "x")
         for j in range(2):
             assert merged.counts[0][j] == plain.counts[0][j] + plain.counts[1][j]
             assert merged.counts[1][j] == plain.counts[2][j]
 
     def test_empty_node(self):
         with pytest.raises(ChaidError, match="empty node"):
-            build_contingency([], "x", "y")
+            build_contingency(coded([], "x"), "x")
 
     def test_value_outside_partition(self):
         records = records_from_counts({("A", "u"): 1, ("D", "u"): 1})
         with pytest.raises(ChaidError, match="value outside partition"):
-            build_contingency(records, "x", "y").merge_rows([("A", "B")])
+            build_contingency(coded(records, "x"), "x").merge_rows([("A", "B")])
 
     def test_undeclared_class_with_explicit_order(self):
         records = records_from_counts({("A", "u"): 1})
         with pytest.raises(ChaidError, match="not in declared class order"):
-            build_contingency(records, "x", "y", class_order=["v", "w"])
+            coded(records, "x", class_order=["v", "w"])
+
+    @pytest.mark.parametrize("counts", [[[1, 2, 3], [4, 5, 6]], [[1], [4]]])
+    def test_ragged_rows_refused_when_dropping_empty_lines(self, counts):
+        # The shape is checked before empty lines are dropped: a long row
+        # would otherwise be cut to fit, and a short one indexed past its end.
+        with pytest.raises(ChaidError, match="column dimension does not match"):
+            ContingencyTable.from_counts(["a", "b"], ["u", "v"], counts)
+        with pytest.raises(ChaidError, match="column dimension does not match"):
+            ContingencyTable((("a",), ("b",)), ("u", "v"), tuple(map(tuple, counts)))
 
     def test_zero_rows_and_columns_dropped(self):
         table = ContingencyTable.from_counts(
