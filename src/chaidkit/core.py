@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Collection, Iterator, Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 from .errors import ChaidError
 from .stats import (
@@ -101,9 +101,6 @@ class CategoryPartition:
 
     def all_categories(self) -> frozenset[str]:
         return frozenset(c for g in self.groups for c in g)
-
-    def __iter__(self) -> Iterator[tuple[str, ...]]:
-        return iter(self.groups)
 
 
 @dataclass(frozen=True)
@@ -248,10 +245,12 @@ def merge_categories(
     p-value is computed once and kept until one of its two groups merges.
     """
     rank = {cat: i for i, cat in enumerate(predictor.categories)}
-    for (cat,) in table.row_labels:
-        if cat not in rank:
+    for label in table.row_labels:
+        if len(label) != 1:
+            raise ChaidError(f"row {label!r} is not a single category of {predictor.name!r}")
+        if label[0] not in rank:
             raise ChaidError(
-                f"category {cat!r} is not declared for predictor {predictor.name!r}"
+                f"category {label[0]!r} is not declared for predictor {predictor.name!r}"
             )
     rows = sorted(zip(table.row_labels, table.counts), key=lambda row: rank[row[0][0]])
     observed = [cat for (cat,), _ in rows]
@@ -332,19 +331,14 @@ def best_split(
     ``params.alpha_split``. Candidates rank by log adjusted p-value,
     ``min(0, log multiplier + log raw p)``, which stays finite where linear
     p-values underflow; ties break by log raw p-value, then by position in
-    ``predictors``.
+    ``predictors``, since ``min`` keeps the first of equal keys.
     """
-    best: SplitCandidate | None = None
-    best_key: tuple[float, float, int] | None = None
-    for index, predictor in enumerate(predictors):
-        candidate = evaluate_predictor(node, predictor, params.alpha_merge)
-        if candidate is None:
-            continue
-        log_adjusted = min(0.0, math.log(candidate.multiplier) + candidate.log_raw_p)
-        key = (log_adjusted, candidate.log_raw_p, index)
-        if best_key is None or key < best_key:
-            best = candidate
-            best_key = key
+    candidates = [evaluate_predictor(node, p, params.alpha_merge) for p in predictors]
+    best = min(
+        (c for c in candidates if c is not None),
+        key=lambda c: (min(0.0, math.log(c.multiplier) + c.log_raw_p), c.log_raw_p),
+        default=None,
+    )
     if best is None or best.adjusted_p > params.alpha_split:
         return None
     return best

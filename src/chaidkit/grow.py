@@ -29,7 +29,6 @@ def grow_tree(
     params: GrowthParams = GrowthParams(),
     *,
     class_order: Sequence[str] | None = None,
-    schema: dict | None = None,
 ) -> Tree:
     """Grow a tree over categorical records, breadth first.
 
@@ -52,7 +51,7 @@ def grow_tree(
 
     universes = {spec.name: spec.categories for spec in predictors}
     root = CodedRecords.from_records(records, target, universes, class_order)
-    return _grow(root, predictors, target, params, schema)
+    return _grow(root, predictors, target, params, schema=None)
 
 
 def _grow(
@@ -63,8 +62,6 @@ def _grow(
     schema: dict | None,
 ) -> Tree:
     """The node loop over a coded root; every node is a list of row indices."""
-    classes = root.classes
-
     nodes: list[TreeNode] = []
     next_id = 1
     queue: deque[tuple[int, int, int | None, Sequence[int]]] = deque()
@@ -75,41 +72,32 @@ def _grow(
         class_counts = node.class_counts()
         candidate = best_split(node, predictors, params)
         reason = should_stop(depth, len(rows), len(class_counts), candidate, params)
-        if reason is not None:
-            nodes.append(
-                TreeNode(
-                    id=node_id,
-                    depth=depth,
-                    parent=parent,
-                    split=None,
-                    children=(),
-                    class_counts=class_counts,
-                    stop_reason=reason,
-                )
-            )
-            continue
-        assert candidate is not None
-        groups = candidate.partition.groups
-        pred_name = candidate.predictor.name
-        child_ids = tuple(range(next_id, next_id + len(groups)))
-        next_id += len(groups)
-        for child_id, child_rows in zip(child_ids, node.partition_rows(pred_name, groups)):
-            queue.append((child_id, depth + 1, node_id, child_rows))
+        split = None
+        child_ids: tuple[int, ...] = ()
+        if reason is None:
+            assert candidate is not None
+            split = NodeSplit(predictor=candidate.predictor.name, partition=candidate.partition)
+            groups = split.partition.groups
+            child_ids = tuple(range(next_id, next_id + len(groups)))
+            next_id += len(groups)
+            parts = node.partition_rows(split.predictor, groups)
+            for child_id, child_rows in zip(child_ids, parts):
+                queue.append((child_id, depth + 1, node_id, child_rows))
         nodes.append(
             TreeNode(
                 id=node_id,
                 depth=depth,
                 parent=parent,
-                split=NodeSplit(predictor=pred_name, partition=candidate.partition),
+                split=split,
                 children=child_ids,
                 class_counts=class_counts,
-                stop_reason=None,
+                stop_reason=reason,
             )
         )
 
     return Tree(
         target=target,
-        classes=classes,
+        classes=root.classes,
         nodes=tuple(nodes),
         growth_params=params,
         predictors=tuple(predictors),

@@ -22,7 +22,7 @@ from .core import (
     PredictorSpec,
     StopReason,
 )
-from .errors import ModelError
+from .errors import ChaidError, ModelError
 from .stats import Scale
 
 __all__ = [
@@ -91,14 +91,8 @@ class ClassDistribution:
 
     def modal_class(self) -> str:
         """Most probable class; ties break toward the earliest declared class."""
-        best = None
-        best_p = -1.0
-        for cls, p in self.probabilities.items():
-            if p > best_p:
-                best = cls
-                best_p = p
-        assert best is not None
-        return best
+        # ``max`` keeps the first of equal keys, and the mapping is in class order.
+        return max(self.probabilities, key=self.probabilities.__getitem__)
 
 
 @dataclass(frozen=True)
@@ -260,10 +254,10 @@ class Tree:
                 f"unsupported model format version: {document.get('format_version')!r}"
             )
         try:
-            params_doc = document["growth_params"]
+            growth = document["growth_params"]
             # Each field takes the type of its default: float alphas, int sizes.
             params = GrowthParams(
-                **{f.name: type(f.default)(params_doc[f.name]) for f in fields(GrowthParams)}
+                **{f.name: _number(type(f.default), growth[f.name]) for f in fields(GrowthParams)}
             )
             predictors = tuple(
                 PredictorSpec(
@@ -290,7 +284,7 @@ class Tree:
             )
         except ModelError:
             raise
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (ChaidError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ModelError(f"malformed model document: {exc}") from exc
         return tree
 
@@ -348,6 +342,13 @@ def _list(value: object, name: str) -> list:
     return value
 
 
+def _number(kind: type, value: object) -> int | float:
+    """A number field of a model document: text, a bool, or a fraction for an int is refused."""
+    if isinstance(value, (bool, str)) or kind(value) != value:
+        raise ValueError(f"expected {kind.__name__}, not {value!r}")
+    return kind(value)
+
+
 def _node_from_doc(doc: object) -> TreeNode:
     if not isinstance(doc, dict):
         raise ModelError("node entry must be a mapping")
@@ -370,12 +371,12 @@ def _node_from_doc(doc: object) -> TreeNode:
     except ValueError as exc:
         raise ModelError(f"unknown stop reason {reason_doc!r}") from exc
     return TreeNode(
-        id=int(doc["id"]),
-        depth=int(doc["depth"]),
-        parent=None if doc.get("parent") is None else int(doc["parent"]),
+        id=_number(int, doc["id"]),
+        depth=_number(int, doc["depth"]),
+        parent=None if doc.get("parent") is None else _number(int, doc["parent"]),
         split=split,
-        children=tuple(int(c) for c in _list(doc["children"], "children")),
-        class_counts={str(k): int(v) for k, v in class_counts.items()},
+        children=tuple(_number(int, c) for c in _list(doc["children"], "children")),
+        class_counts={str(k): _number(int, v) for k, v in class_counts.items()},
         stop_reason=reason,
     )
 

@@ -408,11 +408,9 @@ def bonferroni_multiplier(scale: Scale, c: int, r: int) -> int:
     if scale is Scale.MONOTONIC:
         return math.comb(c - 1, r - 1)
     if scale is Scale.FREE:
+        # The alternating sum is r! * S(c, r), so the division is exact.
         total = sum((-1) ** i * math.comb(r, i) * (r - i) ** c for i in range(r))
-        quotient, remainder = divmod(total, math.factorial(r))
-        if remainder:
-            raise ChaidError("free-scale multiplier is not an integer")
-        return quotient
+        return total // math.factorial(r)
     if c < 2 or r < 2:
         raise ChaidError("float scale underdetermined")
     return math.comb(c - 2, r - 2) + r * math.comb(c - 2, r - 1)

@@ -149,6 +149,12 @@ class TestMergeCategories:
         records = records_from_counts({("Z", "u"): 1})
         with pytest.raises(ChaidError, match="not declared"):
             merge_categories(counted(records), spec("AB"), 0.05)
+        # A row that is already a merged group is refused, not unpacked.
+        table = ContingencyTable.from_counts(
+            [("a", "b"), ("c",), ("d",)], ["u", "v"], [[3, 1], [1, 3], [2, 2]]
+        )
+        with pytest.raises(ChaidError, match=r"row \('a', 'b'\) is not a single category of 'x'"):
+            merge_categories(table, spec("abcd"), 0.05)
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)

@@ -250,6 +250,71 @@ class TestDocumentValidation:
                 "malformed model document",
             ),
             (lambda d: d["nodes"][1].update(depth=float("inf")), "malformed model document"),
+            (lambda d: d["nodes"].append(7), "node entry must be a mapping"),
+            (lambda d: d.update(classes=[]), "declares no target classes"),
+            (lambda d: d["nodes"][0].update(depth=1), "root depth must be 0"),
+            (
+                lambda d: d["nodes"][0].update(stop_reason="max_depth"),
+                "stop reason exactly when terminal",
+            ),
+            (
+                lambda d: d["nodes"][0]["split"].update(predictor="nope"),
+                "splits on undeclared predictor 'nope'",
+            ),
+            # Faults the core types refuse come out as model errors too.
+            (
+                lambda d: d["nodes"][1]["split"]["groups"][1].append("1"),
+                "malformed model document: category '1' appears in two groups",
+            ),
+            (
+                lambda d: d["nodes"][1]["split"]["groups"][0].clear(),
+                "malformed model document: partition contains an empty group",
+            ),
+            (
+                lambda d: d["growth_params"].update(alpha_merge=2.0),
+                "malformed model document: alpha_merge must lie strictly between 0 and 1",
+            ),
+            (
+                lambda d: d["predictors"][0].update(categories=[]),
+                "malformed model document: predictor 'harga' has no categories",
+            ),
+            (
+                lambda d: d["predictors"][0].update(float_category="1"),
+                "malformed model document: predictor 'harga' is not float-scaled",
+            ),
+            # Number fields refuse bools, text and (for integers) fractions instead of
+            # converting them.
+            (lambda d: d["nodes"][0].update(id=0.5), r"expected int, not 0\.5"),
+            (lambda d: d["nodes"][1].update(id=True), "expected int, not True"),
+            (lambda d: d["nodes"][1].update(depth=1.5), r"expected int, not 1\.5"),
+            (lambda d: d["nodes"][1].update(depth=True), "expected int, not True"),
+            (lambda d: d["nodes"][1].update(parent=0.5), r"expected int, not 0\.5"),
+            (lambda d: d["nodes"][1].update(parent=False), "expected int, not False"),
+            (lambda d: d["nodes"][0].update(children=[1, 2, 3, 4.5]), r"expected int, not 4\.5"),
+            (lambda d: d["nodes"][0].update(children=[True, 2, 3, 4]), "expected int, not True"),
+            (
+                lambda d: d["nodes"][3]["class_counts"].update({"1": 150.5}),
+                r"expected int, not 150\.5",
+            ),
+            (
+                lambda d: d["nodes"][9]["class_counts"].update({"4": True}),
+                "expected int, not True",
+            ),
+            (lambda d: d["growth_params"].update(max_depth=True), "expected int, not True"),
+            (lambda d: d["growth_params"].update(max_depth=2.7), r"expected int, not 2\.7"),
+            (
+                lambda d: d["growth_params"].update(min_parent_size=10.5),
+                r"expected int, not 10\.5",
+            ),
+            (
+                lambda d: d["growth_params"].update(min_child_size=5.5),
+                r"expected int, not 5\.5",
+            ),
+            (lambda d: d["nodes"][1].update(id="1"), "expected int, not '1'"),
+            (
+                lambda d: d["growth_params"].update(alpha_merge="0.05"),
+                r"expected float, not '0\.05'",
+            ),
         ],
     )
     def test_corrupted_documents_are_rejected(self, mutate, message):
