@@ -20,10 +20,13 @@ import io
 import json
 import math
 from bisect import bisect_left
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import count, islice
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .core import MISSING_LABEL, PredictorSpec
 from .errors import DataError
@@ -39,6 +42,7 @@ __all__ = [
     "assign_bin",
     "load_schema",
     "load_dataset",
+    "iter_batches",
 ]
 
 SCHEMA_FORMAT = "chaidkit-schema"
@@ -53,6 +57,9 @@ DEFAULT_PREDICTOR_BINS = 12
 DEFAULT_TARGET_BINS = 7
 
 _MAX_REPORTED_ROWS = 5
+
+#: Rows per dataset that :func:`iter_batches` yields.
+BATCH_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -463,34 +470,24 @@ class Dataset:
         return DatasetSchema(tuple(columns), self.schema.delimiter).to_doc()
 
 
-def _read_rows(
+@contextmanager
+def _open_csv(
     source: str | Path | io.TextIOBase, delimiter: str
-) -> tuple[list[str], list[tuple[str, ...]]]:
-    if hasattr(source, "read"):
-        return _read_from(source, delimiter)  # type: ignore[arg-type]
-    try:
-        with open(source, newline="", encoding="utf-8-sig") as handle:
-            return _read_from(handle, delimiter)
-    except OSError as exc:
-        raise DataError(f"cannot read data file: {exc}") from exc
-
-
-def _read_from(handle: Iterable[str], delimiter: str) -> tuple[list[str], list[tuple[str, ...]]]:
-    reader = csv.reader(handle, delimiter=delimiter)
-    try:
-        header = [cell.strip() for cell in next(reader)]
-    except StopIteration:
-        raise DataError("empty file") from None
+) -> Iterator[tuple[list[str], Iterator[list[str]]]]:
+    """The stripped header of a text handle or file, and a CSV reader over its data rows."""
+    if not hasattr(source, "read"):
+        try:
+            with open(source, newline="", encoding="utf-8-sig") as handle:
+                with _open_csv(handle, delimiter) as opened:
+                    yield opened
+        except OSError as exc:
+            raise DataError(f"cannot read data file: {exc}") from exc
+        return
+    reader = csv.reader(source, delimiter=delimiter)  # type: ignore[arg-type]
+    header = [cell.strip() for cell in next(reader, [])]
     if not any(header):
         raise DataError("empty file")
-    rows: list[tuple[str, ...]] = []
-    for number, row in enumerate(reader, start=1):
-        if len(row) != len(header):
-            raise DataError(
-                f"row {number}: expected {len(header)} fields, found {len(row)}"
-            )
-        rows.append(tuple(row))
-    return header, rows
+    yield header, reader
 
 
 def load_dataset(
@@ -511,83 +508,99 @@ def load_dataset(
     parse, or parse to ``nan`` or an infinity, are always an error citing
     the data row and column.
     """
-    header, rows = _read_rows(source, schema.delimiter)
+    with _open_csv(source, schema.delimiter) as (header, reader):
+        rows = list(map(tuple, reader))
+    return _label(header, rows, schema, require_target=require_target, keep_raw=keep_raw)
+
+
+def iter_batches(source: str | Path | io.TextIOBase, schema: DatasetSchema) -> Iterator[Dataset]:
+    """Prediction input, read once, as datasets of up to :data:`BATCH_ROWS` rows each.
+
+    A batch is what ``load_dataset(..., require_target=False, keep_raw=True)``
+    gives for its rows, error row numbers counting from the file's first row.
+    A first batch comes even from a header-only file.
+    """
+    with _open_csv(source, schema.delimiter) as (header, reader):
+        for start in count(1, BATCH_ROWS):
+            rows = list(map(tuple, islice(reader, BATCH_ROWS)))
+            yield _label(header, rows, schema, require_target=False, keep_raw=True, first_row=start)
+            if len(rows) < BATCH_ROWS:
+                return
+
+
+def _label(
+    header: list[str],
+    rows: list[tuple[str, ...]],
+    schema: DatasetSchema,
+    *,
+    require_target: bool,
+    keep_raw: bool,
+    first_row: int = 1,
+) -> Dataset:
+    """:func:`load_dataset` after the reading, for data rows ``first_row`` onwards.
+
+    Each pass over a column runs in C; a scan in row order only words a fault.
+    """
+    width = len(header)
+    if set(map(len, rows)) - {width}:
+        number, row = next((n, row) for n, row in enumerate(rows, first_row) if len(row) != width)
+        raise DataError(f"row {number}: expected {width} fields, found {len(row)}")
     index: dict[str, int] = {}
     for position, name in enumerate(header):
         if name in index:
             raise DataError(f"duplicate column {name!r} in header")
         index[name] = position
 
-    parsed = [
-        col
-        for col in schema.columns
-        if col.role == "predictor" or (col.role == "target" and require_target)
-    ]
+    roles = ("predictor", "target") if require_target else ("predictor",)
+    parsed = [col for col in schema.columns if col.role in roles]
     for col in parsed:
         if col.name not in index:
             raise DataError(f"missing required column {col.name!r}")
 
-    n = len(rows)
     columns: dict[str, list[str]] = {}
     boundaries: dict[str, tuple[float, ...]] = {}
     missing_counts: dict[str, int] = {}
     problems: list[str] = []
 
     for col in parsed:
-        at = index[col.name]
-        cells = [row[at].strip() for row in rows]
-        missing_counts[col.name] = cells.count("")
-        if missing_counts[col.name] and not (
+        cells = list(map(str.strip, map(itemgetter(index[col.name]), rows)))
+        missing = missing_counts[col.name] = cells.count("")
+        if missing and not (
             col.role == "predictor" and (not require_target or col.effective_scale is Scale.FLOAT)
         ):
-            shown = _first_few([str(r + 1) for r, cell in enumerate(cells) if cell == ""])
+            shown = _first_few([str(n) for n, cell in enumerate(cells, first_row) if cell == ""])
             problems.append(f"column {col.name!r}: missing value at row(s) {shown}")
             continue
         # A float-scale predictor's blank cells are its floating category.
         blank = col.effective_float_category or MISSING_LABEL
 
         if col.kind == "numeric":
-            values: list[float] = []
-            value_rows: list[int] = []
-            for r, cell in enumerate(cells):
-                if cell == "":
-                    continue
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise DataError(
-                        f"row {r + 1}: column {col.name!r}: cannot parse {cell!r} as a number"
-                    ) from None
-                if not math.isfinite(value):
-                    raise DataError(
-                        f"row {r + 1}: column {col.name!r}: {cell!r} is not a finite number"
-                    )
-                values.append(value)
-                value_rows.append(r)
+            values = _numbers(col.name, cells, first_row)
             assert col.binning is not None
-            bounds = _compute_boundaries(values, col.binning)
-            boundaries[col.name] = bounds
-            names = _bin_labels(bounds)
-            labels = [blank] * n
-            for r, value in zip(value_rows, values):
-                labels[r] = names[bisect_left(bounds, value)]
-            columns[col.name] = labels
+            bounds = boundaries[col.name] = _compute_boundaries(values, col.binning)
+            bins = map(_bin_labels(bounds).__getitem__, map(partial(bisect_left, bounds), values))
+            if missing:
+                columns[col.name] = [next(bins) if cell else blank for cell in cells]
+            else:
+                columns[col.name] = list(bins)
         else:
             declared = set(col.categories) if col.categories is not None else None
             if declared is not None and require_target:
                 if col.effective_float_category is not None:
                     # Blank cells become the floating category; it may be written too.
                     declared.add(col.effective_float_category)
-                bad = [
-                    (r, cell)
-                    for r, cell in enumerate(cells)
-                    if cell != "" and cell not in declared
-                ]
-                if bad:
-                    shown = _first_few([f"{cell!r} at row {r + 1}" for r, cell in bad])
+                declared.add("")
+                if not declared.issuperset(cells):
+                    shown = _first_few(
+                        [
+                            f"{cell!r} at row {n}"
+                            for n, cell in enumerate(cells, first_row)
+                            if cell not in declared
+                        ]
+                    )
                     problems.append(f"column {col.name!r}: undeclared category {shown}")
                     continue
-            columns[col.name] = [blank if cell == "" else cell for cell in cells]
+            columns[col.name] = [cell or blank for cell in cells] if missing else cells
 
     if problems:
         raise DataError("; ".join(problems))
@@ -595,12 +608,33 @@ def load_dataset(
     return Dataset(
         schema=schema,
         columns=columns,
-        n_rows=n,
+        n_rows=len(rows),
         boundaries=boundaries,
         missing_counts=missing_counts,
         header=tuple(header) if keep_raw else None,
         raw_rows=tuple(rows) if keep_raw else None,
     )
+
+
+def _numbers(name: str, cells: list[str], first_row: int) -> list[float]:
+    """The numbers of a column's non-blank cells; any cell that is no finite number is an error."""
+    try:
+        values = list(map(float, filter(None, cells)))
+        if all(map(math.isfinite, values)):
+            return values
+    except ValueError:
+        pass
+    # Only to word the first bad cell, in row order.
+    for number, cell in enumerate(cells, first_row):
+        try:
+            finite = cell == "" or math.isfinite(float(cell))
+        except ValueError:
+            raise DataError(
+                f"row {number}: column {name!r}: cannot parse {cell!r} as a number"
+            ) from None
+        if not finite:
+            raise DataError(f"row {number}: column {name!r}: {cell!r} is not a finite number")
+    raise AssertionError("a cell failed to parse as a whole column but not alone")
 
 
 def _first_few(items: Sequence[str]) -> str:

@@ -85,9 +85,10 @@ class ClassDistribution:
     def __post_init__(self) -> None:
         if self.support < 1:
             raise ModelError("distribution support must be positive")
-        total = sum(self.probabilities.values())
-        if abs(total - 1.0) > 1e-9:
-            raise ModelError("class probabilities do not sum to 1")
+        values = self.probabilities.values()
+        # NaN fails every comparison, so it fails here too.
+        if not (all(0.0 <= p <= 1.0 for p in values) and abs(sum(values) - 1.0) <= 1e-9):
+            raise ModelError("class probabilities must lie in [0, 1] and sum to 1")
 
     def modal_class(self) -> str:
         """Most probable class; ties break toward the earliest declared class."""

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 
 from chaidkit import DataError, DatasetSchema, Scale, load_dataset, load_schema
 from chaidkit.core import MISSING_LABEL
-from chaidkit.ingest import BinningSpec, ColumnSpec, assign_bin, bin_numeric
+from chaidkit import ingest
+from chaidkit.ingest import BinningSpec, ColumnSpec, assign_bin, bin_numeric, iter_batches
 
 
 def cat_col(name, role="predictor", **kw):
@@ -294,6 +296,19 @@ class TestLoadDataset:
         ):
             load_text(data, schema, require_target=require_target)
 
+    @pytest.mark.parametrize(
+        "cells,message",
+        [
+            (("nan", "abc"), "'nan' is not a finite number"),
+            (("abc", "nan"), "cannot parse 'abc' as a number"),
+        ],
+    )
+    def test_first_bad_number_in_row_order_is_reported(self, cells, message):
+        schema = make_schema(num_col("harga"), cat_col("y", role="target"))
+        data = f"harga,y\n100,u\n,v\n{cells[0]},v\n{cells[1]},u\n"
+        with pytest.raises(DataError, match=f"^row 3: column 'harga': {message}$"):
+            load_text(data, schema, require_target=False)
+
     def test_empty_file(self):
         schema = make_schema(cat_col("x"), cat_col("y", role="target"))
         with pytest.raises(DataError, match="empty file"):
@@ -400,6 +415,44 @@ class TestLoadDataset:
         assert load_dataset(path, schema).records == ({"x": "a", "y": "u"},)
         with pytest.raises(DataError, match="cannot read data file"):
             load_dataset(tmp_path / "absent.csv", schema)
+
+
+class TestIterBatches:
+    #: A model's schema: its numeric column carries explicit boundaries.
+    SCHEMA = make_schema(
+        ColumnSpec(
+            name="n", role="predictor", kind="numeric",
+            binning=BinningSpec(strategy="explicit_boundaries", boundaries=(0.0, 2.0)),
+        ),
+        cat_col("x", scale=Scale.FLOAT),
+        cat_col("y", role="target"),
+    )
+
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(["1", " 2.5", "-3", ""]), st.sampled_from(["a", "b", ""])),
+            max_size=12,
+        ),
+        st.integers(1, 5),
+    )
+    def test_batches_are_the_whole_load_in_pieces(self, rows, size):
+        text = "x,n\n" + "".join(f"{x},{n}\n" for n, x in rows)
+        whole = load_text(text, self.SCHEMA, require_target=False, keep_raw=True)
+        with mock.patch.object(ingest, "BATCH_ROWS", size):
+            batches = list(iter_batches(io.StringIO(text), self.SCHEMA))
+        assert [batch.n_rows for batch in batches[:-1]] == [size] * (len(batches) - 1)
+        assert batches[-1].n_rows < size
+        assert {batch.header for batch in batches} == {whole.header}
+        assert sum((batch.raw_rows for batch in batches), ()) == whole.raw_rows
+        assert sum((batch.records for batch in batches), ()) == whole.records
+
+    def test_error_rows_count_from_the_start_of_the_file(self, monkeypatch):
+        monkeypatch.setattr(ingest, "BATCH_ROWS", 2)
+        text = "n,x\n" + "1,a\n" * 4 + "oops,a\n"
+        batches = iter_batches(io.StringIO(text), self.SCHEMA)
+        assert [batch.n_rows for batch in (next(batches), next(batches))] == [2, 2]
+        with pytest.raises(DataError, match="^row 5: column 'n': cannot parse 'oops'"):
+            next(batches)
 
 
 class TestDatasetDerived:

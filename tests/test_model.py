@@ -156,6 +156,20 @@ class TestDistributions:
         with pytest.raises(ModelError, match="support"):
             ClassDistribution(probabilities={"u": 1.0}, support=0)
 
+    @pytest.mark.parametrize(
+        "probabilities",
+        [
+            {"u": float("nan"), "v": 0.5},
+            {"u": 1.5, "v": -0.5},
+            {"u": float("inf"), "v": float("-inf")},
+            {"u": float("nan")},
+        ],
+        ids=["nan", "outside-unit-interval", "infinite", "nan-alone"],
+    )
+    def test_probability_outside_the_unit_interval_rejected(self, probabilities):
+        with pytest.raises(ModelError, match=r"in \[0, 1\]"):
+            ClassDistribution(probabilities=probabilities, support=10)
+
     def test_node_lookup_bounds(self):
         tree = single_node_tree()
         with pytest.raises(ModelError, match="no node with id 99"):
