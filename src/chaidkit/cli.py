@@ -12,6 +12,7 @@ import argparse
 import csv
 import os
 import sys
+from contextlib import closing
 from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Sequence
@@ -158,42 +159,41 @@ def cmd_predict(args: argparse.Namespace) -> int:
     echo = DatasetSchema.from_doc(tree.schema)
     kept = tuple(col for col in echo.columns if col.role != "predictor" or col.name in used)
     schema = replace(echo, columns=kept)
-    # The header and the first batch are checked before the output file is
-    # opened, so a fault there leaves no file behind.
-    batches = iter_batches(args.data, schema)
-    batch: Dataset | None = next(batches)
-    if os.path.exists(args.out) and os.path.samefile(args.out, args.data):
-        raise ChaidError("--out names the --data file, which is still being read")
-    with open(args.out, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, delimiter=schema.delimiter, lineterminator="\n")
-        assert batch.header is not None
-        writer.writerow(
-            list(batch.header)
-            + ["leaf_id", "predicted_class"]
-            + [f"p_{cls}" for cls in tree.classes]
-        )
-        # Every row routed to a leaf ends in the same cells: format them once.
-        leaf_cells: dict[int, tuple[str, ...]] = {}
-        notes: list[str] = []
-        row_number = 0
-        while batch is not None:
-            assert batch.raw_rows is not None
-            lines = []
-            for raw, record in zip(batch.raw_rows, batch.iter_records()):
-                row_number += 1
-                leaf_id = tree.route(record, warn=notes.append)
-                for note in notes:
-                    print(f"warning: row {row_number}: {note}", file=sys.stderr)
-                notes.clear()
-                tail = leaf_cells.get(leaf_id)
-                if tail is None:
-                    dist = tree.distribution(leaf_id)
-                    tail = leaf_cells[leaf_id] = (str(leaf_id), dist.modal_class()) + tuple(
-                        repr(dist.probabilities[cls]) for cls in tree.classes
-                    )
-                lines.append(raw + tail)
-            writer.writerows(lines)
-            batch = next(batches, None)
+    # A fault in the header or the first batch leaves no output file behind.
+    with closing(iter_batches(args.data, schema)) as batches:
+        batch: Dataset | None = next(batches)
+        if os.path.exists(args.out) and os.path.samefile(args.out, args.data):
+            raise ChaidError("--out names the --data file, which is still being read")
+        with open(args.out, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle, delimiter=schema.delimiter, lineterminator="\n")
+            assert batch.header is not None
+            writer.writerow(
+                list(batch.header)
+                + ["leaf_id", "predicted_class"]
+                + [f"p_{cls}" for cls in tree.classes]
+            )
+            # Every row routed to a leaf ends in the same cells: format them once.
+            leaf_cells: dict[int, tuple[str, ...]] = {}
+            notes: list[str] = []
+            row_number = 0
+            while batch is not None:
+                assert batch.raw_rows is not None
+                lines = []
+                for raw, record in zip(batch.raw_rows, batch.iter_records()):
+                    row_number += 1
+                    leaf_id = tree.route(record, warn=notes.append)
+                    for note in notes:
+                        print(f"warning: row {row_number}: {note}", file=sys.stderr)
+                    notes.clear()
+                    tail = leaf_cells.get(leaf_id)
+                    if tail is None:
+                        dist = tree.distribution(leaf_id)
+                        tail = leaf_cells[leaf_id] = (str(leaf_id), dist.modal_class()) + tuple(
+                            repr(dist.probabilities[cls]) for cls in tree.classes
+                        )
+                    lines.append(raw + tail)
+                writer.writerows(lines)
+                batch = next(batches, None)
     return 0
 
 
