@@ -199,27 +199,20 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 def cmd_inspect(args: argparse.Namespace) -> int:
     tree = load_model(args.model)
-
-    def describe(node_id: int, via: str | None) -> None:
+    # Depth first with an explicit stack, so a deep tree cannot exhaust recursion.
+    stack = [(0, "")]
+    while stack:
+        node_id, origin = stack.pop()
         node = tree.node(node_id)
-        indent = "  " * node.depth
-        origin = f" {via}" if via else ""
+        head = f"{'  ' * node.depth}node {node.id} [n={node.size}]{origin}; "
         if node.split is not None:
-            print(
-                f"{indent}node {node.id} [n={node.size}]{origin}; "
-                f"split on {node.split.predictor}"
-            )
-            for group, child_id in zip(node.split.partition.groups, node.children):
-                label = f"{node.split.predictor} in {{{', '.join(group)}}}"
-                describe(child_id, label)
+            name = node.split.predictor
+            print(f"{head}split on {name}")
+            edges = zip(node.children, node.split.partition.groups)
+            stack += reversed([(child, f" {name} in {{{', '.join(g)}}}") for child, g in edges])
         else:
             reason = node.stop_reason.value if node.stop_reason else "?"
-            print(
-                f"{indent}node {node.id} [n={node.size}]{origin}; "
-                f"terminal ({reason}) {_distribution_text(tree, node.id)}"
-            )
-
-    describe(0, None)
+            print(f"{head}terminal ({reason}) {_distribution_text(tree, node.id)}")
     return 0
 
 

@@ -164,7 +164,6 @@ class StopReason(str, Enum):
     MAX_DEPTH = "max_depth"
     MIN_PARENT = "min_parent"
     WOULD_CREATE_SMALL_CHILD = "would_create_small_child"
-    PURE_NODE = "pure_node"
 
 
 def _eligible_pairs(
@@ -296,14 +295,14 @@ def evaluate_predictor(
     :func:`merge_categories` on it, tests the table with its rows summed
     per merged group, and multiplies the raw p-value by the number of ways
     ``c`` observed categories could have been reduced to ``r`` groups
-    (capped at 1). Returns ``None`` when no split is possible: a single
-    merged group, a single observed category, or a single observed target
-    class.
+    (capped at 1). Returns ``None``, before any merging, when no split is
+    possible: a single observed category or a single observed target
+    class. From two categories up, merging stops at two groups or more.
     """
     table = build_contingency(node, predictor.name)
-    partition = merge_categories(table, predictor, alpha_merge)
-    if len(partition.groups) < 2 or table.n_cols < 2:
+    if table.n_rows < 2 or table.n_cols < 2:
         return None
+    partition = merge_categories(table, predictor, alpha_merge)
     merged = table.merge_rows(partition.groups)
     result = chi_square_test(merged)
     scale = _effective_scale(predictor, partition.all_categories())
@@ -347,17 +346,14 @@ def best_split(
 def should_stop(
     node_depth: int,
     node_size: int,
-    n_classes: int,
     candidate: SplitCandidate | None,
     params: GrowthParams,
 ) -> StopReason | None:
     """Apply the stop rules in precedence order; return the first that fires.
 
     Order: no candidate; depth at the limit; node below the minimum parent
-    size; a candidate child below the minimum child size; all records in
-    one target class. ``n_classes`` is the number of target classes
-    observed at the node, which the candidate alone cannot convey. ``None``
-    means growth continues.
+    size; a candidate child below the minimum child size. ``None`` means
+    growth continues.
     """
     if candidate is None:
         return StopReason.NO_SIGNIFICANT_PREDICTOR
@@ -367,6 +363,4 @@ def should_stop(
         return StopReason.MIN_PARENT
     if any(size < params.min_child_size for size in candidate.group_sizes):
         return StopReason.WOULD_CREATE_SMALL_CHILD
-    if n_classes <= 1:
-        return StopReason.PURE_NODE
     return None

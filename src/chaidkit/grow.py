@@ -71,7 +71,7 @@ def _grow(
         node = root.at(rows)
         class_counts = node.class_counts()
         candidate = best_split(node, predictors, params)
-        reason = should_stop(depth, len(rows), len(class_counts), candidate, params)
+        reason = should_stop(depth, len(rows), candidate, params)
         split = None
         child_ids: tuple[int, ...] = ()
         if reason is None:

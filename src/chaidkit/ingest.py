@@ -133,6 +133,8 @@ def _compute_boundaries(values: Sequence[float], spec: BinningSpec) -> tuple[flo
     n = len(ordered)
     k = spec.bin_count
     assert k is not None
+    if spec.strategy == "equal_frequency":
+        k = min(k, n)  # from n bins up, the cuts are every distinct value below the top
     lo, top = ordered[0], ordered[-1]
     bounds: list[float] = []
     for j in range(1, k):
@@ -350,12 +352,12 @@ class DatasetSchema:
 def load_schema(path: str | Path) -> DatasetSchema:
     """Read and validate a schema document from a JSON file."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise DataError(f"cannot read schema file: {exc}") from exc
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
         raise DataError(f"schema file is not valid JSON: {exc}") from exc
     return DatasetSchema.from_doc(doc)
 
@@ -484,10 +486,17 @@ def _open_csv(
             raise DataError(f"cannot read data file: {exc}") from exc
         return
     reader = csv.reader(source, delimiter=delimiter)  # type: ignore[arg-type]
-    header = [cell.strip() for cell in next(reader, [])]
-    if not any(header):
-        raise DataError("empty file")
-    yield header, reader
+    # The reader is consumed inside the ``with`` block, so its faults land here.
+    try:
+        header = [cell.strip() for cell in next(reader, [])]
+        if not any(header):
+            raise DataError("empty file")
+        yield header, reader
+    except csv.Error as exc:
+        raise DataError(f"line {reader.line_num}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        # The decoder reads ahead in blocks, so no row can be named.
+        raise DataError(f"data file is not UTF-8: {exc}") from exc
 
 
 def load_dataset(

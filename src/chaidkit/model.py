@@ -293,7 +293,7 @@ class Tree:
     def from_bytes(cls, data: bytes) -> "Tree":
         try:
             document = json.loads(data.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise ModelError(f"model document is not valid JSON: {exc}") from exc
         return cls.from_document(document)
 

@@ -18,10 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaidkit import Scale, load_model, save_model
+from chaidkit import Scale, Tree, load_model, save_model
 from chaidkit import ingest
 from chaidkit.cli import main
+from chaidkit.core import CategoryPartition, StopReason
 from chaidkit.ingest import MISSING_LABEL, BinningSpec, ColumnSpec, DatasetSchema
+from chaidkit.model import NodeSplit, TreeNode
 from conftest import sales_fixture_tree
 
 SHIPPED_DATA = Path(__file__).resolve().parent.parent / "data"
@@ -57,6 +59,10 @@ def train(tmp_path, schema, data, *extra):
         + list(extra)
     )
     return rc, model
+
+
+#: Growth flags loose enough that small random datasets grow trees with depth.
+LENIENT = "--alpha-merge 0.3 --alpha-split 0.5 --max-depth 4 --min-parent 4 --min-child 2".split()
 
 
 class TestTrain:
@@ -193,6 +199,47 @@ def test_non_finite_number_is_one_error_line(tmp_path, capsys, command, cell):
     assert rc == 1
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: row 2: column 'x': '{cell}' is not a finite number"]
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        (b"a,u\n\xe9,v\n", "error: data file is not UTF-8: 'utf-8' codec can't decode byte 0xe9"),
+        (b"a,u\n" + b"b" * 131073 + b",v\n", "error: line 3: field larger than field limit"),
+    ],
+    ids=["latin1_byte", "oversized_field"],
+)
+@pytest.mark.parametrize("command", ["train", "predict"])
+def test_unreadable_data_is_one_error_line(tmp_path, perfect, capsys, command, body, message):
+    schema, good = perfect
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"x,y\n" + body)
+    if command == "train":
+        rc, _ = train(tmp_path, schema, bad)
+    else:
+        rc, model = train(tmp_path, schema, good)
+        assert rc == 0
+        capsys.readouterr()
+        out = tmp_path / "pred.csv"
+        rc = main(["predict", "--model", str(model), "--data", str(bad), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(message)
+
+
+@pytest.mark.parametrize(
+    "text", [b'{"format": "\xe9"}', b"[" * 100000 + b"]" * 100000], ids=["latin1_byte", "nested"]
+)
+def test_unreadable_schema_is_one_error_line(tmp_path, perfect, capsys, text):
+    _, data = perfect
+    schema = tmp_path / "bad_schema.json"
+    schema.write_bytes(text)
+    rc, _ = train(tmp_path, schema, data)
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: schema file is not valid JSON: ")
 
 
 def setup_model(tmp_path, perfect):
@@ -379,9 +426,8 @@ class TestPredictMatchesRoute:
             data = write_rows(work / "train.csv", training)
             novel = write_rows(work / "novel.csv", predicting)
             out, err = work / "pred.csv", io.StringIO()
-            lenient = "--alpha-merge 0.3 --alpha-split 0.5 --max-depth 4 --min-parent 4 --min-child 2"
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                rc, model = train(work, schema, data, *lenient.split())
+                rc, model = train(work, schema, data, *LENIENT)
                 assert rc == 0, err.getvalue()
                 argv = ["predict", "--model", str(model), "--data", str(novel), "--out", str(out)]
                 assert main(argv) == 0
@@ -399,6 +445,85 @@ class TestPredictMatchesRoute:
             expected_err += [f"warning: row {number}: {note}\n" for note in notes]
         assert leaves == expected_leaves
         assert err.getvalue() == "".join(expected_err)
+
+
+@st.composite
+def training_inputs(draw):
+    """A random schema's columns, and training rows that `train` accepts under it.
+
+    Numeric predictors bin by equal frequency or equal width; categorical
+    predictors are free, monotonic (sometimes with a declared order) or
+    float, with blank cells on the float ones. The target is categorical
+    or binned numeric.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["frequency", "width", *Scale]), min_size=1, max_size=3))
+    cats = "abcd"[: draw(st.integers(2, 4))]
+    columns, makers = [], []
+    for j, kind in enumerate(kinds):
+        name = f"x{j}"
+        if kind in ("frequency", "width"):
+            binning = BinningSpec(strategy=f"equal_{kind}", bin_count=draw(st.integers(2, 5)))
+            columns.append(ColumnSpec(name, "predictor", "numeric", Scale.MONOTONIC, binning))
+            makers.append(lambda: str(rng.choice([1, 2, 2.5, 3, 7, 10, 40, -5])))
+        else:
+            order = draw(st.none() | st.permutations(cats)) if kind is Scale.MONOTONIC else None
+            columns.append(cat(name, scale=kind, categories=order and tuple(order)))
+            blanks = 0.2 if kind is Scale.FLOAT else 0.0
+            makers.append(lambda blanks=blanks: "" if rng.random() < blanks else rng.choice(cats))
+    numeric_target = draw(st.booleans())
+    if numeric_target:
+        binning = BinningSpec(strategy="equal_frequency", bin_count=draw(st.integers(2, 4)))
+        columns.append(ColumnSpec("y", "target", "numeric", binning=binning))
+    else:
+        columns.append(cat("y", role="target"))
+    rows = [[f"x{j}" for j in range(len(kinds))] + ["y"]]
+    for _ in range(draw(st.integers(20, 100))):
+        cells = [make() for make in makers]
+        # The target leans on the first predictor's cell, so trees get splits.
+        signal = len(cells[0]) + ord(cells[0][-1:] or "z")
+        if rng.random() < 0.3:
+            signal = rng.randrange(50)
+        rows.append(cells + [str(signal % 3) if numeric_target else "uvw"[signal % 3]])
+    return columns, rows
+
+
+class TestTrainingProperties:
+    @given(training_inputs(), st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_row_order_does_not_change_the_model(self, inputs, shuffler):
+        columns, rows = inputs
+        header, *body = rows
+        shuffled = [header] + shuffler.sample(body, len(body))
+        models = []
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+            work = Path(tmp)
+            schema = write_schema(work / "schema.json", *columns)
+            for name, table in (("train.csv", rows), ("shuffled.csv", shuffled)):
+                rc, model = train(work, schema, write_rows(work / name, table), *LENIENT)
+                assert rc == 0
+                models.append(model.read_bytes())
+        assert models[0] == models[1]
+
+    @given(training_inputs())
+    @settings(max_examples=40, deadline=None)
+    def test_predicting_the_training_file_routes_every_row_without_detours(self, inputs):
+        columns, rows = inputs
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            work = Path(tmp)
+            schema = write_schema(work / "schema.json", *columns)
+            data = write_rows(work / "train.csv", rows)
+            out = work / "pred.csv"
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc, model = train(work, schema, data, *LENIENT)
+                assert rc == 0, err.getvalue()
+                argv = ["predict", "--model", str(model), "--data", str(data), "--out", str(out)]
+                assert main(argv) == 0, err.getvalue()
+            predicted = list(csv.reader(out.read_text(encoding="utf-8").splitlines()))
+        assert len(predicted) == len(rows)
+        assert [row[: len(rows[0])] for row in predicted[1:]] == rows[1:]
+        assert "warning:" not in err.getvalue()
 
 
 class TestCustomFloatCategory:
@@ -497,6 +622,42 @@ class TestInspect:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 3
         assert "split on x" in lines[0]
+
+    def test_a_deep_chain_prints_every_node(self, tmp_path, capsys):
+        # Internal node 2i sits at depth i; its children are leaf 2i + 1 and
+        # node 2i + 2, which is the last leaf below the deepest split.
+        depth = 1500
+        nodes = []
+        for i in range(depth):
+            nodes.append(TreeNode(
+                id=2 * i, depth=i, parent=2 * i - 2 if i else None,
+                split=NodeSplit("x", CategoryPartition((("a",), ("b",)))),
+                children=(2 * i + 1, 2 * i + 2), class_counts={"u": depth + 1 - i},
+                stop_reason=None,
+            ))
+            nodes.append(TreeNode(
+                id=2 * i + 1, depth=i + 1, parent=2 * i, split=None, children=(),
+                class_counts={"u": 1}, stop_reason=StopReason.MAX_DEPTH,
+            ))
+        nodes.append(TreeNode(
+            id=2 * depth, depth=depth, parent=2 * depth - 2, split=None, children=(),
+            class_counts={"u": 1}, stop_reason=StopReason.MAX_DEPTH,
+        ))
+        model = tmp_path / "model.json"
+        save_model(Tree(target="y", classes=("u",), nodes=tuple(nodes)), model)
+        assert main(["inspect", "--model", str(model)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2 * depth + 1
+        last = f"node {2 * depth} [n=1] x in {{b}}; terminal (max_depth) u:1"
+        assert lines[-1] == "  " * depth + last
+
+    def test_nested_json_is_one_error_line(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_bytes(b"[" * 100000 + b"]" * 100000)
+        assert main(["inspect", "--model", str(model)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: model document is not valid JSON: ")
 
     @pytest.mark.parametrize(
         "field", ['"max_depth": 3', '"depth": 1'], ids=["max_depth", "node_depth"]

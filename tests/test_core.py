@@ -10,6 +10,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chaidkit.core
 from chaidkit import (
     ChaidError,
     ContingencyTable,
@@ -224,6 +225,16 @@ class TestEvaluatePredictor:
         records = records_from_counts({("A", "u"): 5, ("B", "u"): 5})
         assert evaluate_predictor(coded(records, "x"), spec("AB"), 0.05) is None
 
+    def test_a_table_that_cannot_split_is_never_merged(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("merge_categories called")
+
+        monkeypatch.setattr(chaidkit.core, "merge_categories", refuse)
+        one_class = records_from_counts({("A", "u"): 5, ("B", "u"): 5})
+        one_category = records_from_counts({("A", "u"): 5, ("A", "v"): 5})
+        for records in (one_class, one_category):
+            assert evaluate_predictor(coded(records, "x"), spec("AB"), 0.05) is None
+
     def test_multiplier_and_adjustment(self):
         counts = {
             ("c1", "u"): 40, ("c1", "v"): 10,
@@ -375,30 +386,26 @@ def _candidate(group_sizes=(50, 50), raw_p=0.001, multiplier=2):
 
 class TestShouldStop:
     def test_absent_candidate_wins_over_everything(self):
-        reason = should_stop(9, 3, 1, None, GrowthParams())
+        reason = should_stop(9, 3, None, GrowthParams())
         assert reason is StopReason.NO_SIGNIFICANT_PREDICTOR
 
     def test_max_depth(self):
-        reason = should_stop(3, 1000, 2, _candidate(), GrowthParams(max_depth=3))
+        reason = should_stop(3, 1000, _candidate(), GrowthParams(max_depth=3))
         assert reason is StopReason.MAX_DEPTH
 
     def test_min_parent(self):
-        reason = should_stop(1, 9, 2, _candidate(), GrowthParams())
+        reason = should_stop(1, 9, _candidate(), GrowthParams())
         assert reason is StopReason.MIN_PARENT
 
     def test_small_child(self):
-        reason = should_stop(1, 100, 2, _candidate(group_sizes=(96, 4)), GrowthParams())
+        reason = should_stop(1, 100, _candidate(group_sizes=(96, 4)), GrowthParams())
         assert reason is StopReason.WOULD_CREATE_SMALL_CHILD
 
-    def test_pure_node(self):
-        reason = should_stop(1, 100, 1, _candidate(), GrowthParams())
-        assert reason is StopReason.PURE_NODE
-
     def test_no_rule_fires(self):
-        assert should_stop(0, 1000, 2, _candidate(), GrowthParams()) is None
+        assert should_stop(0, 1000, _candidate(), GrowthParams()) is None
 
     def test_depth_precedence_over_size(self):
-        reason = should_stop(5, 3, 2, _candidate(), GrowthParams(max_depth=3))
+        reason = should_stop(5, 3, _candidate(), GrowthParams(max_depth=3))
         assert reason is StopReason.MAX_DEPTH
 
 

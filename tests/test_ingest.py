@@ -77,6 +77,16 @@ class TestBinning:
         assert bounds == (1,)
         assert labels == ["1", "1", "1", "1", "2"]
 
+    def test_equal_frequency_beyond_one_bin_per_value(self):
+        # The cut loop is bounded by the values, not by the requested count.
+        values = [5.0, 3.0, 3.0, 9.0, 1.0, 7.0, 7.0, 2.0]
+        huge = bin_numeric(values, BinningSpec(strategy="equal_frequency", bin_count=10**12))
+        per_value = bin_numeric(
+            values, BinningSpec(strategy="equal_frequency", bin_count=len(values))
+        )
+        assert huge == per_value
+        assert huge[1] == (1.0, 2.0, 3.0, 5.0, 7.0)
+
     def test_empty_column(self):
         with pytest.raises(DataError, match="empty column"):
             bin_numeric([], BinningSpec(strategy="equal_frequency", bin_count=4))

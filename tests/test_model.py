@@ -243,6 +243,7 @@ class TestDocumentValidation:
                 "mixes terminal and split markers",
             ),
             (lambda d: d["nodes"][3].update(stop_reason="bored"), "unknown stop reason"),
+            (lambda d: d["nodes"][3].update(stop_reason="pure_node"), "unknown stop reason"),
             (
                 lambda d: d["nodes"][3]["class_counts"].update({"1": -5}),
                 "negative class count",
