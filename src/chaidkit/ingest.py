@@ -29,17 +29,14 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from .core import MISSING_LABEL, PredictorSpec
-from .errors import DataError
+from .errors import DataError, _number
 from .stats import Scale
 
 __all__ = [
-    "MISSING_LABEL",
     "BinningSpec",
     "ColumnSpec",
     "DatasetSchema",
     "Dataset",
-    "bin_numeric",
-    "assign_bin",
     "load_schema",
     "load_dataset",
     "iter_batches",
@@ -114,16 +111,25 @@ class BinningSpec:
         if not isinstance(boundaries, (list, type(None))):
             raise DataError(f"binning boundaries must be a list, not {boundaries!r}")
         try:
-            count = None if bin_count is None else int(bin_count)
-            cuts = None if boundaries is None else tuple(float(b) for b in boundaries)
+            count = None if bin_count is None else _number(int, bin_count)
         except (TypeError, ValueError, OverflowError):
-            raise DataError(
-                f"binning bin count {bin_count!r} or boundaries {boundaries!r} are not numbers"
-            ) from None
+            raise DataError(f"binning bin count must be a whole number, not {bin_count!r}") from None
+        try:
+            cuts = None if boundaries is None else tuple(_number(float, b) for b in boundaries)
+        except (TypeError, ValueError, OverflowError):
+            raise DataError(f"binning boundaries must be numbers, not {boundaries!r}") from None
         return cls(strategy=str(doc["strategy"]), bin_count=count, boundaries=cuts)
 
 
 def _compute_boundaries(values: Sequence[float], spec: BinningSpec) -> tuple[float, ...]:
+    """A column's realized cut points: replayed as explicit boundaries, they give the same labels.
+
+    Equal-frequency cuts sit on observed values, and ties go to the lower
+    bin, so tied values never straddle two bins. Cuts that repeat or reach
+    the top value collapse, which is how a constant column gets one label.
+    Equal-width otherwise keeps its grid even where interior bins are
+    empty, so labels can be sparse.
+    """
     if spec.strategy == "explicit_boundaries":
         assert spec.boundaries is not None
         return spec.boundaries
@@ -154,33 +160,6 @@ def _compute_boundaries(values: Sequence[float], spec: BinningSpec) -> tuple[flo
 def _bin_labels(boundaries: Sequence[float]) -> list[str]:
     """The interval labels, in order: item ``i`` labels a value with ``i`` boundaries below it."""
     return [str(i) for i in range(1, len(boundaries) + 2)]
-
-
-def assign_bin(value: float, boundaries: Sequence[float]) -> str:
-    """Interval label for a value: 1 + the number of boundaries strictly below it."""
-    return _bin_labels(boundaries)[bisect_left(boundaries, value)]
-
-
-def bin_numeric(
-    values: Sequence[float], spec: BinningSpec
-) -> tuple[list[str], tuple[float, ...]]:
-    """Discretize a numeric column into interval labels.
-
-    Returns the label for every value plus the realized boundaries, which
-    reproduce the identical labels when fed back through
-    :func:`assign_bin`. Equal-frequency boundaries sit on observed values
-    (ties go to the lower bin, so tied boundary values never straddle two
-    bins); duplicate or top-end cuts collapse, which is how a constant
-    column degenerates to a single label. Equal-width keeps its grid even
-    when some interior bins end up empty, so labels can be sparse; only
-    grid cuts that repeat or reach the top value, as on a range narrower
-    than the float resolution allows, collapse the same way.
-    """
-    if not values:
-        raise DataError("cannot bin an empty column")
-    boundaries = _compute_boundaries(values, spec)
-    labels = _bin_labels(boundaries)
-    return [labels[bisect_left(boundaries, v)] for v in values], boundaries
 
 
 @dataclass(frozen=True)

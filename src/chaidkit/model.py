@@ -22,7 +22,7 @@ from .core import (
     PredictorSpec,
     StopReason,
 )
-from .errors import ChaidError, ModelError
+from .errors import ChaidError, ModelError, _number
 from .stats import Scale
 
 __all__ = [
@@ -341,13 +341,6 @@ def _list(value: object, name: str) -> list:
     if not isinstance(value, list):
         raise ModelError(f"{name} must be a list, not {value!r}")
     return value
-
-
-def _number(kind: type, value: object) -> int | float:
-    """A number field of a model document: text, a bool, or a fraction for an int is refused."""
-    if isinstance(value, (bool, str)) or kind(value) != value:
-        raise ValueError(f"expected {kind.__name__}, not {value!r}")
-    return kind(value)
 
 
 def _node_from_doc(doc: object) -> TreeNode:

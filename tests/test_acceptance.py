@@ -30,11 +30,9 @@ from chaidkit import (
     train_tree,
 )
 from chaidkit.cli import main
-from chaidkit.ingest import BinningSpec, ColumnSpec, DatasetSchema, assign_bin
+from chaidkit.ingest import BinningSpec, ColumnSpec, DatasetSchema
 from chaidkit.stats import ContingencyTable
 from conftest import (
-    DILIHAT_BOUNDARIES,
-    HARGA_BOUNDARIES,
     TERMINAL_NODE_IDS,
     TIPE_CATEGORIES,
     chi2_upper_tail_by_integration,
@@ -229,10 +227,16 @@ def test_sales_tree_routes_the_prescribed_terminals():
     dist = tree.distribution(TERMINAL_NODE_IDS[2])
     assert dist.probabilities == {"1": 0.982, "2": 0.013, "3": 0.003, "4": 0.002}
 
-    # Worked example: a cheap, barely-viewed sneaker listing.
-    assert assign_bin(62000, HARGA_BOUNDARIES) == "1"
-    assert assign_bin(80, DILIHAT_BOUNDARIES) == "1"
-    record = {"dilihat": "1", "harga": "1", "tipe": "Sneakers"}
+    # Worked example: a cheap, barely-viewed sneaker listing, binned by the
+    # loader under the tree's own schema: conftest's HARGA_BOUNDARIES and
+    # DILIHAT_BOUNDARIES as explicit cut points.
+    listing = load_dataset(
+        io.StringIO("harga,dilihat,tipe\n62000,80,Sneakers\n"),
+        DatasetSchema.from_doc(tree.schema),
+        require_target=False,
+    )
+    record = listing.records[0]
+    assert record == {"dilihat": "1", "harga": "1", "tipe": "Sneakers"}
     assert tree.route(record) == TERMINAL_NODE_IDS[2]
     assert tree.distribution(tree.route(record)).modal_class() == "1"
 

@@ -61,6 +61,39 @@ def train(tmp_path, schema, data, *extra):
     return rc, model
 
 
+@pytest.fixture
+def numeric(tmp_path):
+    """A numeric x that splits y at 10, and a schema that bins it in two."""
+    schema = write_schema(
+        tmp_path / "schema.json",
+        ColumnSpec(
+            name="x", role="predictor", kind="numeric",
+            binning=BinningSpec(strategy="equal_frequency", bin_count=2),
+        ),
+        cat("y", role="target"),
+    )
+    data = tmp_path / "train.csv"
+    data.write_text(
+        "x,y\n" + "".join(f"{v},{'u' if v <= 10 else 'v'}\n" for v in range(1, 21)),
+        encoding="utf-8",
+    )
+    return schema, data
+
+
+def schema_doc(x, y=None, **fields):
+    """A schema document with the columns ``x`` and ``y``, by default a categorical target."""
+    y = y or {"name": "y", "role": "target", "kind": "categorical"}
+    return {"format": "chaidkit-schema", "format_version": 1, "columns": [x, y], **fields}
+
+
+def binned(**binning):
+    return {"name": "x", "role": "predictor", "kind": "numeric", "binning": binning}
+
+
+def categorical(name="x", role="predictor", **fields):
+    return {"name": name, "role": role, "kind": "categorical", **fields}
+
+
 #: Growth flags loose enough that small random datasets grow trees with depth.
 LENIENT = "--alpha-merge 0.3 --alpha-split 0.5 --max-depth 4 --min-parent 4 --min-child 2".split()
 
@@ -122,6 +155,16 @@ class TestTrain:
         assert rc == 0
         assert "params: alpha_merge=0.05" in capsys.readouterr().err
 
+    def test_verbose_reports_missing_values(self, tmp_path, capsys):
+        schema = write_schema(
+            tmp_path / "schema.json", cat("x", scale=Scale.FLOAT), cat("y", role="target")
+        )
+        data = tmp_path / "train.csv"
+        data.write_text("x,y\n" + "a,u\n,v\nb,v\n,u\n" * 5, encoding="utf-8")
+        rc, _ = train(tmp_path, schema, data, "--verbose")
+        assert rc == 0
+        assert "missing values in 'x': 10" in capsys.readouterr().err.splitlines()
+
     def test_bad_data_is_one_error_line(self, tmp_path, perfect, capsys):
         schema, _ = perfect
         data = tmp_path / "bad.csv"
@@ -132,34 +175,79 @@ class TestTrain:
         assert err == ["error: missing required column 'y'"]
 
     @pytest.mark.parametrize(
-        "column",
+        "doc, message",
         [
-            {
-                "name": "x",
-                "role": "predictor",
-                "kind": "numeric",
-                "binning": {"strategy": "equal_width", "bin_count": "many"},
-            },
-            {"name": "x", "role": "predictor", "kind": "categorical", "categories": 7},
+            pytest.param(
+                schema_doc(binned(strategy="equal_width", bin_count="many")),
+                "binning bin count must be a whole number, not 'many'",
+                id="bin_count_not_a_number",
+            ),
+            pytest.param(
+                schema_doc(categorical(categories=7)),
+                "column 'x': categories must be a list, not 7",
+                id="categories_not_a_list",
+            ),
+            # Number fields follow the rule of model documents.
+            pytest.param(
+                schema_doc(binned(strategy="equal_width", bin_count=3.5)),
+                "binning bin count must be a whole number, not 3.5",
+                id="fractional_bin_count",
+            ),
+            pytest.param(
+                schema_doc(binned(strategy="equal_width", bin_count="3")),
+                "binning bin count must be a whole number, not '3'",
+                id="text_bin_count",
+            ),
+            pytest.param(
+                schema_doc(binned(strategy="explicit_boundaries", boundaries=[False, "1e1"])),
+                "binning boundaries must be numbers, not [False, '1e1']",
+                id="bool_and_text_boundaries",
+            ),
+            pytest.param(
+                schema_doc(binned(strategy="explicit_boundaries", boundaries="1,2")),
+                "binning boundaries must be a list, not '1,2'",
+                id="boundaries_not_a_list",
+            ),
+            pytest.param(
+                schema_doc(categorical(name="")), "column name must be non-empty", id="empty_name"
+            ),
+            pytest.param(
+                schema_doc({**binned(strategy="equal_width", bin_count=2), "categories": ["1"]}),
+                "column 'x': declared categories are only for categorical columns",
+                id="numeric_with_categories",
+            ),
+            pytest.param(
+                schema_doc(categorical(categories=[])),
+                "column 'x': declared category list is empty",
+                id="empty_categories",
+            ),
+            pytest.param(
+                schema_doc(categorical(), categorical("y", "target", float_category="?")),
+                "a floating category applies only to predictor columns",
+                id="target_float_category",
+            ),
+            pytest.param(
+                schema_doc(categorical(float_category="?")),
+                "column 'x': a floating category requires the float scale",
+                id="float_category_without_float_scale",
+            ),
+            pytest.param([], "schema document must be a mapping", id="not_a_mapping"),
+            pytest.param(
+                schema_doc(categorical(), format_version=2),
+                "unsupported schema format version: 2",
+                id="format_version",
+            ),
         ],
-        ids=["bin_count_not_a_number", "categories_not_a_list"],
     )
     def test_malformed_schema_field_is_one_error_line(
-        self, tmp_path, perfect, capsys, column
+        self, tmp_path, numeric, capsys, doc, message
     ):
-        _, data = perfect
+        _, data = numeric
         schema = tmp_path / "bad_schema.json"
-        doc = {
-            "format": "chaidkit-schema",
-            "format_version": 1,
-            "columns": [column, {"name": "y", "role": "target", "kind": "categorical"}],
-        }
         schema.write_text(json.dumps(doc), encoding="utf-8")
         rc, _ = train(tmp_path, schema, data)
         assert rc == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1
-        assert err[0].startswith("error: ")
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
     def test_shipped_data_model_bytes_are_pinned(self, tmp_path, capsys):
         rc, model = train(
@@ -172,20 +260,8 @@ class TestTrain:
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("command", ["train", "predict"])
-def test_non_finite_number_is_one_error_line(tmp_path, capsys, command, cell):
-    schema = write_schema(
-        tmp_path / "schema.json",
-        ColumnSpec(
-            name="x", role="predictor", kind="numeric",
-            binning=BinningSpec(strategy="equal_frequency", bin_count=2),
-        ),
-        cat("y", role="target"),
-    )
-    good = tmp_path / "good.csv"
-    good.write_text(
-        "x,y\n" + "".join(f"{v},{'u' if v <= 10 else 'v'}\n" for v in range(1, 21)),
-        encoding="utf-8",
-    )
+def test_non_finite_number_is_one_error_line(tmp_path, numeric, capsys, command, cell):
+    schema, good = numeric
     bad = tmp_path / "bad.csv"
     bad.write_text(f"x,y\n1,u\n{cell},v\n", encoding="utf-8")
     if command == "train":
@@ -359,8 +435,15 @@ class TestPredict:
 
     @pytest.mark.parametrize(
         "columns,message",
-        [([1], "column entry must be a mapping"), ({"a": {}}, "schema document declares no columns")],
-        ids=["number", "mapping"],
+        [
+            ([1], "column entry must be a mapping"),
+            ({"a": {}}, "schema document declares no columns"),
+            (
+                schema_doc(binned(strategy="explicit_boundaries", boundaries=["1.5"]))["columns"],
+                "binning boundaries must be numbers, not ['1.5']",
+            ),
+        ],
+        ids=["number", "mapping", "text_cut_point"],
     )
     def test_malformed_schema_columns_is_one_error_line(
         self, tmp_path, perfect, capsys, columns, message

@@ -47,6 +47,20 @@ def scipy_p(rows):
     return p
 
 
+@pytest.mark.parametrize(
+    "categories, scale, float_category, message",
+    [
+        (("a", "b", "a"), Scale.FREE, None, "predictor 'x' has duplicate categories"),
+        (("a", "b"), Scale.FLOAT, None, "float-scale predictor 'x' must name its floating category"),
+        (("a", "b"), Scale.FLOAT, "z", "floating category 'z' is not a category of 'x'"),
+    ],
+    ids=["duplicate_categories", "float_without_floating_category", "floating_not_a_category"],
+)
+def test_predictor_spec_refusals(categories, scale, float_category, message):
+    with pytest.raises(ChaidError, match=message):
+        spec(categories, scale, float_category=float_category)
+
+
 class TestMergeCategories:
     def test_two_categories_unchanged(self):
         records = records_from_counts(

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from chaidkit import DataError, DatasetSchema, Scale, load_dataset, load_schema
 from chaidkit.core import MISSING_LABEL
 from chaidkit import ingest
-from chaidkit.ingest import BinningSpec, ColumnSpec, assign_bin, bin_numeric, iter_batches
+from chaidkit.ingest import BinningSpec, ColumnSpec, iter_batches
 
 
 def cat_col(name, role="predictor", **kw):
@@ -36,42 +36,53 @@ def load_text(text, schema, **kw):
     return load_dataset(io.StringIO(text), schema, **kw)
 
 
+def load_bins(values, spec):
+    """Bin one numeric predictor column through the loader: its labels and realized cuts."""
+    schema = make_schema(
+        ColumnSpec(name="x", role="predictor", kind="numeric", binning=spec),
+        cat_col("y", role="target"),
+    )
+    text = "x\n" + "".join(f"{v!r}\n" for v in values)
+    dataset = load_text(text, schema, require_target=False)
+    return dataset.columns["x"], dataset.boundaries["x"]
+
+
+QUARTILE_CUTS = BinningSpec(strategy="explicit_boundaries", boundaries=(25.0, 50.0, 75.0))
+
+
 class TestBinning:
     def test_equal_frequency_quartiles(self):
         values = list(range(100, 0, -1))
-        labels, bounds = bin_numeric(
+        labels, bounds = load_bins(
             values, BinningSpec(strategy="equal_frequency", bin_count=4)
         )
         assert bounds == (25, 50, 75)
         assert Counter(labels) == {"1": 25, "2": 25, "3": 25, "4": 25}
 
     def test_constant_column_collapses(self):
-        labels, bounds = bin_numeric(
+        labels, bounds = load_bins(
             [7.0] * 10, BinningSpec(strategy="equal_frequency", bin_count=4)
         )
         assert bounds == ()
         assert labels == ["1"] * 10
 
     def test_equal_width_keeps_empty_bins(self):
-        labels, bounds = bin_numeric(
+        labels, bounds = load_bins(
             [1, 2, 3, 10], BinningSpec(strategy="equal_width", bin_count=3)
         )
         assert bounds == (4.0, 7.0)
         assert labels == ["1", "1", "1", "3"]
 
     def test_ties_go_to_the_lower_bin(self):
-        bounds = (25.0, 50.0, 75.0)
-        assert assign_bin(25.0, bounds) == "1"
-        assert assign_bin(25.001, bounds) == "2"
-        assert assign_bin(50.0, bounds) == "2"
+        labels, _ = load_bins([25.0, 25.001, 50.0], QUARTILE_CUTS)
+        assert labels == ["1", "2", "2"]
 
     def test_outer_intervals_are_unbounded(self):
-        bounds = (25.0, 50.0, 75.0)
-        assert assign_bin(-1e9, bounds) == "1"
-        assert assign_bin(1e9, bounds) == "4"
+        labels, _ = load_bins([-1e9, 1e9], QUARTILE_CUTS)
+        assert labels == ["1", "4"]
 
     def test_heavy_ties_drop_duplicate_cuts(self):
-        labels, bounds = bin_numeric(
+        labels, bounds = load_bins(
             [1, 1, 1, 1, 2], BinningSpec(strategy="equal_frequency", bin_count=4)
         )
         assert bounds == (1,)
@@ -80,16 +91,17 @@ class TestBinning:
     def test_equal_frequency_beyond_one_bin_per_value(self):
         # The cut loop is bounded by the values, not by the requested count.
         values = [5.0, 3.0, 3.0, 9.0, 1.0, 7.0, 7.0, 2.0]
-        huge = bin_numeric(values, BinningSpec(strategy="equal_frequency", bin_count=10**12))
-        per_value = bin_numeric(
+        huge = load_bins(values, BinningSpec(strategy="equal_frequency", bin_count=10**12))
+        per_value = load_bins(
             values, BinningSpec(strategy="equal_frequency", bin_count=len(values))
         )
         assert huge == per_value
         assert huge[1] == (1.0, 2.0, 3.0, 5.0, 7.0)
 
     def test_empty_column(self):
-        with pytest.raises(DataError, match="empty column"):
-            bin_numeric([], BinningSpec(strategy="equal_frequency", bin_count=4))
+        # A header-only file: no labels, no computed cuts, explicit cuts kept.
+        assert load_bins([], BinningSpec(strategy="equal_frequency", bin_count=4)) == ([], ())
+        assert load_bins([], QUARTILE_CUTS) == ([], (25.0, 50.0, 75.0))
 
     @given(
         st.lists(
@@ -105,14 +117,14 @@ class TestBinning:
     @example([0.0, 5e-324], 4, "equal_width")
     @settings(max_examples=120, deadline=None)
     def test_binning_properties(self, values, k, strategy):
-        labels, bounds = bin_numeric(
+        labels, bounds = load_bins(
             values, BinningSpec(strategy=strategy, bin_count=k)
         )
         assert all(bounds[i] < bounds[i + 1] for i in range(len(bounds) - 1))
         assert all(1 <= int(label) <= k for label in labels)
         # Replaying the realized boundaries as explicit cut points is a
         # different code path that must reproduce identical labels.
-        replay, replay_bounds = bin_numeric(
+        replay, replay_bounds = load_bins(
             values, BinningSpec(strategy="explicit_boundaries", boundaries=bounds)
         )
         assert replay == labels
@@ -157,7 +169,7 @@ class TestBinningSpec:
 
     def test_empty_explicit_boundaries_mean_one_interval(self):
         spec = BinningSpec(strategy="explicit_boundaries", boundaries=())
-        labels, bounds = bin_numeric([3.5, -2.0], spec)
+        labels, bounds = load_bins([3.5, -2.0], spec)
         assert labels == ["1", "1"]
         assert bounds == ()
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import chaidkit
@@ -35,7 +36,8 @@ DOCUMENTED = {
     "save_model",
 }
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def test_all_is_the_documented_api():
@@ -46,6 +48,24 @@ def test_all_is_the_documented_api():
 def test_every_exported_name_resolves():
     for name in chaidkit.__all__:
         assert getattr(chaidkit, name) is not None, name
+
+
+def test_module_names_are_the_documented_ones():
+    # README: "Everything else lives in its module: `A` and `B` in `chaidkit.m`; ..."
+    lead = "Everything else lives in its module: "
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    paragraph = next(p for p in readme.split("\n\n") if lead in " ".join(p.split()))
+    listing = " ".join(paragraph.split()).split(lead, 1)[1]
+    documented = {
+        module: set(re.findall(r"`(\w+)`", names))
+        for names, module in re.findall(r"(.*?) in `chaidkit\.(\w+)`[;.]", listing)
+    }
+    modules = {}
+    for name in ("core", "stats", "ingest", "grow", "model", "cli"):
+        extra = set(importlib.import_module(f"chaidkit.{name}").__all__) - set(chaidkit.__all__)
+        if extra:
+            modules[name] = extra
+    assert modules == documented
 
 
 def test_benchmark_imports_are_exported():
