@@ -21,6 +21,7 @@ from .stats import (
     Scale,
     bonferroni_multiplier,
     build_contingency,
+    chi_square_log_p_value,
     chi_square_p_value,
     chi_square_test,
     pearson_statistic,
@@ -302,6 +303,11 @@ def evaluate_predictor(
     table = build_contingency(node, predictor.name)
     if table.n_rows < 2 or table.n_cols < 2:
         return None
+    return _score(table, predictor, alpha_merge)
+
+
+def _score(table: ContingencyTable, predictor: PredictorSpec, alpha_merge: float) -> SplitCandidate:
+    """Merge, test and penalise a counted table of two rows and two columns or more."""
     partition = merge_categories(table, predictor, alpha_merge)
     merged = table.merge_rows(partition.groups)
     result = chi_square_test(merged)
@@ -321,6 +327,22 @@ def evaluate_predictor(
     )
 
 
+def _log_p_bound(table: ContingencyTable, predictor: PredictorSpec) -> float:
+    """The least log adjusted p-value any merge of ``table``'s rows can score.
+
+    Merging rows never raises Pearson's statistic, (a+b)^2/(r_a+r_b) <= a^2/r_a + b^2/r_b
+    by Cauchy-Schwarz, nor changes the columns, and the tail rises with df.
+    """
+    statistic = pearson_statistic(table.counts)
+    scale = _effective_scale(predictor, [cat for (cat,) in table.row_labels])
+    c, extra = table.n_rows, table.n_cols - 1
+    return min(0.0, *(
+        math.log(bonferroni_multiplier(scale, c, r))
+        + chi_square_log_p_value(statistic, (r - 1) * extra)
+        for r in range(2, c + 1)
+    ))
+
+
 def best_split(
     node: CodedRecords, predictors: Sequence[PredictorSpec], params: GrowthParams
 ) -> SplitCandidate | None:
@@ -331,10 +353,20 @@ def best_split(
     ``min(0, log multiplier + log raw p)``, which stays finite where linear
     p-values underflow; ties break by log raw p-value, then by position in
     ``predictors``, since ``min`` keeps the first of equal keys.
+
+    A predictor whose bound (:func:`_log_p_bound`) clears log
+    ``alpha_split`` by a rounding margin is never merged: it cannot pass,
+    and had it won, the winner in its place fails the check too.
     """
-    candidates = [evaluate_predictor(node, p, params.alpha_merge) for p in predictors]
+    threshold = math.log(params.alpha_split) + 1e-9
+    candidates = []
+    for predictor in predictors:
+        table = build_contingency(node, predictor.name)
+        if table.n_rows < 2 or table.n_cols < 2 or _log_p_bound(table, predictor) > threshold:
+            continue
+        candidates.append(_score(table, predictor, params.alpha_merge))
     best = min(
-        (c for c in candidates if c is not None),
+        candidates,
         key=lambda c: (min(0.0, math.log(c.multiplier) + c.log_raw_p), c.log_raw_p),
         default=None,
     )

@@ -1,4 +1,4 @@
-"""Exception types, and the number rule of documents, shared across the library."""
+"""Exception types, and the number and text rules of documents, shared across the library."""
 
 
 class ChaidError(Exception):
@@ -18,3 +18,10 @@ def _number(kind: type, value: object) -> int | float:
     if isinstance(value, (bool, str)) or kind(value) != value:
         raise ValueError(f"expected {kind.__name__}, not {value!r}")
     return kind(value)
+
+
+def _text(value: object, what: str, error: type[ChaidError]) -> str:
+    """A text field of a model or schema document: a string, never a number, bool or null."""
+    if not isinstance(value, str):
+        raise error(f"{what} must be text, not {value!r}")
+    return value

@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from .core import MISSING_LABEL, PredictorSpec
-from .errors import DataError, _number
+from .errors import DataError, _number, _text
 from .stats import Scale
 
 __all__ = [
@@ -118,7 +118,8 @@ class BinningSpec:
             cuts = None if boundaries is None else tuple(_number(float, b) for b in boundaries)
         except (TypeError, ValueError, OverflowError):
             raise DataError(f"binning boundaries must be numbers, not {boundaries!r}") from None
-        return cls(strategy=str(doc["strategy"]), bin_count=count, boundaries=cuts)
+        strategy = _text(doc["strategy"], "binning strategy", DataError)
+        return cls(strategy=strategy, bin_count=count, boundaries=cuts)
 
 
 def _compute_boundaries(values: Sequence[float], spec: BinningSpec) -> tuple[float, ...]:
@@ -237,9 +238,9 @@ class ColumnSpec:
         for key in ("name", "role", "kind"):
             if key not in doc:
                 raise DataError(f"column entry is missing {key!r}")
-        name = str(doc["name"])
-        role = str(doc["role"])
-        kind = str(doc["kind"])
+        name = _text(doc["name"], "column name", DataError)
+        role = _text(doc["role"], f"column {name!r}: role", DataError)
+        kind = _text(doc["kind"], f"column {name!r}: kind", DataError)
         scale_doc = doc.get("scale")
         if scale_doc is None:
             scale = None
@@ -259,6 +260,7 @@ class ColumnSpec:
         categories_doc = doc.get("categories")
         if not isinstance(categories_doc, (list, type(None))):
             raise DataError(f"column {name!r}: categories must be a list, not {categories_doc!r}")
+        float_doc = doc.get("float_category")
         return cls(
             name=name,
             role=role,
@@ -267,10 +269,10 @@ class ColumnSpec:
             binning=binning,
             categories=None
             if categories_doc is None
-            else tuple(str(c) for c in categories_doc),
+            else tuple(_text(c, f"column {name!r}: categories", DataError) for c in categories_doc),
             float_category=None
-            if doc.get("float_category") is None
-            else str(doc["float_category"]),
+            if float_doc is None
+            else _text(float_doc, f"column {name!r}: float_category", DataError),
         )
 
 
@@ -324,7 +326,7 @@ class DatasetSchema:
             raise DataError("schema document declares no columns")
         return cls(
             columns=tuple(ColumnSpec.from_doc(c) for c in columns_doc),
-            delimiter=str(doc.get("delimiter", ",")),
+            delimiter=_text(doc.get("delimiter", ","), "schema delimiter", DataError),
         )
 
 

@@ -22,7 +22,7 @@ from .core import (
     PredictorSpec,
     StopReason,
 )
-from .errors import ChaidError, ModelError, _number
+from .errors import ChaidError, ModelError, _number, _text
 from .stats import Scale
 
 __all__ = [
@@ -262,12 +262,15 @@ class Tree:
             )
             predictors = tuple(
                 PredictorSpec(
-                    name=str(p["name"]),
+                    name=_text(p["name"], "predictor name", ModelError),
                     scale=Scale(p["scale"]),
-                    categories=tuple(str(c) for c in _list(p["categories"], "categories")),
+                    categories=tuple(
+                        _text(c, "predictor categories", ModelError)
+                        for c in _list(p["categories"], "categories")
+                    ),
                     float_category=None
                     if p.get("float_category") is None
-                    else str(p["float_category"]),
+                    else _text(p["float_category"], "predictor float_category", ModelError),
                 )
                 for p in document["predictors"]
             )
@@ -276,8 +279,10 @@ class Tree:
             )
             schema = document.get("schema")
             tree = cls(
-                target=str(document["target"]),
-                classes=tuple(str(c) for c in _list(document["classes"], "classes")),
+                target=_text(document["target"], "target", ModelError),
+                classes=tuple(
+                    _text(c, "classes", ModelError) for c in _list(document["classes"], "classes")
+                ),
                 nodes=nodes,
                 growth_params=params,
                 predictors=predictors,
@@ -353,8 +358,10 @@ def _node_from_doc(doc: object) -> TreeNode:
         if not isinstance(groups, list) or not all(isinstance(g, list) for g in groups):
             raise ModelError(f"split groups must be a list of lists, not {groups!r}")
         split = NodeSplit(
-            predictor=str(split_doc["predictor"]),
-            partition=CategoryPartition(tuple(tuple(str(c) for c in g) for g in groups)),
+            predictor=_text(split_doc["predictor"], "split predictor", ModelError),
+            partition=CategoryPartition(
+                tuple(tuple(_text(c, "split groups", ModelError) for c in g) for g in groups)
+            ),
         )
     class_counts = doc["class_counts"]
     if not isinstance(class_counts, dict):
