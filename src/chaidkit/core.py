@@ -313,7 +313,6 @@ def _score(table: ContingencyTable, predictor: PredictorSpec, alpha_merge: float
     result = chi_square_test(merged)
     scale = _effective_scale(predictor, partition.all_categories())
     multiplier = bonferroni_multiplier(scale, table.n_rows, len(partition.groups))
-    adjusted = min(1.0, multiplier * result.p_value)
     return SplitCandidate(
         predictor=predictor,
         partition=partition,
@@ -322,7 +321,7 @@ def _score(table: ContingencyTable, predictor: PredictorSpec, alpha_merge: float
         raw_p=result.p_value,
         log_raw_p=result.log_p,
         multiplier=multiplier,
-        adjusted_p=adjusted,
+        adjusted_p=min(1.0, multiplier * result.p_value),
         group_sizes=tuple(merged.row_totals()),
     )
 
@@ -336,11 +335,12 @@ def _log_p_bound(table: ContingencyTable, predictor: PredictorSpec) -> float:
     statistic = pearson_statistic(table.counts)
     scale = _effective_scale(predictor, [cat for (cat,) in table.row_labels])
     c, extra = table.n_rows, table.n_cols - 1
-    return min(0.0, *(
+    # At r = c the multiplier is 1, so the bound is at most 0, as the key it bounds is.
+    return min(
         math.log(bonferroni_multiplier(scale, c, r))
         + chi_square_log_p_value(statistic, (r - 1) * extra)
         for r in range(2, c + 1)
-    ))
+    )
 
 
 def best_split(
@@ -354,11 +354,10 @@ def best_split(
     p-values underflow; ties break by log raw p-value, then by position in
     ``predictors``, since ``min`` keeps the first of equal keys.
 
-    A predictor whose bound (:func:`_log_p_bound`) clears log
-    ``alpha_split`` by a rounding margin is never merged: it cannot pass,
-    and had it won, the winner in its place fails the check too.
+    A predictor whose :func:`_log_p_bound` clears log ``alpha_split`` is never
+    merged: had it won, the winner in its place fails the check too.
     """
-    threshold = math.log(params.alpha_split) + 1e-9
+    threshold = math.log(params.alpha_split) + 1e-9  # the bound's rounding margin
     candidates = []
     for predictor in predictors:
         table = build_contingency(node, predictor.name)

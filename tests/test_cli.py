@@ -208,6 +208,42 @@ class TestTrain:
                 "binning boundaries must be a list, not '1,2'",
                 id="boundaries_not_a_list",
             ),
+            # Text fields follow one rule too: a number, bool or null is not text.
+            pytest.param(
+                schema_doc(categorical(), categorical(5, "target")),
+                "column name must be text, not 5",
+                id="number_name",
+            ),
+            pytest.param(
+                schema_doc(categorical(role=1)),
+                "column 'x': role must be text, not 1",
+                id="number_role",
+            ),
+            pytest.param(
+                schema_doc({"name": "x", "role": "predictor", "kind": None}),
+                "column 'x': kind must be text, not None",
+                id="null_kind",
+            ),
+            pytest.param(
+                schema_doc(categorical(categories=["1", True, "2"])),
+                "column 'x': categories must be text, not True",
+                id="bool_category",
+            ),
+            pytest.param(
+                schema_doc(categorical(scale="float", categories=["a"], float_category=0)),
+                "column 'x': float_category must be text, not 0",
+                id="number_float_category",
+            ),
+            pytest.param(
+                schema_doc(binned(strategy=3, bin_count=2)),
+                "binning strategy must be text, not 3",
+                id="number_strategy",
+            ),
+            pytest.param(
+                schema_doc(categorical(), delimiter=44),
+                "schema delimiter must be text, not 44",
+                id="number_delimiter",
+            ),
             pytest.param(
                 schema_doc(categorical(name="")), "column name must be non-empty", id="empty_name"
             ),
@@ -442,8 +478,12 @@ class TestPredict:
                 schema_doc(binned(strategy="explicit_boundaries", boundaries=["1.5"]))["columns"],
                 "binning boundaries must be numbers, not ['1.5']",
             ),
+            (
+                schema_doc(categorical(categories=["a", 1]))["columns"],
+                "column 'x': categories must be text, not 1",
+            ),
         ],
-        ids=["number", "mapping", "text_cut_point"],
+        ids=["number", "mapping", "text_cut_point", "number_category"],
     )
     def test_malformed_schema_columns_is_one_error_line(
         self, tmp_path, perfect, capsys, columns, message
@@ -785,6 +825,45 @@ class TestInspect:
         assert len(err) == 1
         assert err[0].startswith("error: split groups must be a list of lists")
 
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("predictors", 0, "name"), 5, "predictor name must be text, not 5"),
+            (("predictors", 0, "categories", 1), 1, "predictor categories must be text, not 1"),
+            (
+                ("predictors", 0, "float_category"),
+                False,
+                "predictor float_category must be text, not False",
+            ),
+            (("target",), None, "target must be text, not None"),
+            (("classes", 0), 1.5, "classes must be text, not 1.5"),
+            (("nodes", 0, "split", "predictor"), 0, "split predictor must be text, not 0"),
+            (("nodes", 0, "split", "groups", 1, 0), True, "split groups must be text, not True"),
+        ],
+        ids=[
+            "predictor_name",
+            "category",
+            "float_category",
+            "target",
+            "class",
+            "split_predictor",
+            "group_member",
+        ],
+    )
+    def test_text_field_that_is_not_text_is_one_error_line(
+        self, tmp_path, perfect, capsys, path, value, message
+    ):
+        model, _ = setup_model(tmp_path, perfect)
+        doc = json.loads(model.read_text(encoding="utf-8"))
+        holder = doc
+        for key in path[:-1]:
+            holder = holder[key]
+        holder[path[-1]] = value
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["inspect", "--model", str(model)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
     @pytest.mark.parametrize(
         "field,text", [("children", "12"), ("classes", "uv"), ("categories", "ab")]

@@ -383,6 +383,138 @@ class TestBestSplit:
         assert best_split(coded(records, "x"), [spec("ab")], GrowthParams()) is None
 
 
+    def test_a_predictor_independent_of_the_target_is_never_merged(self, monkeypatch):
+        merged = []
+        original = chaidkit.core.merge_categories
+
+        def recording(table, predictor, alpha_merge):
+            merged.append(predictor.name)
+            return original(table, predictor, alpha_merge)
+
+        monkeypatch.setattr(chaidkit.core, "merge_categories", recording)
+        # x decides the class; every z category holds the two classes
+        # equally, so z's statistic is 0 and no merge of it can pass.
+        counts = {(z, x, cls): 10 for x, cls in (("a", "u"), ("b", "v")) for z in "pqrs"}
+        records = multi_records_from_counts(counts, ["z", "x"])
+        predictors = [spec("pqrs", scale, name="z") for scale in (Scale.FREE, Scale.MONOTONIC)]
+        predictors.append(spec("ab", name="x"))
+        candidate = best_split(coded(records, "z", "x"), predictors, GrowthParams())
+        assert candidate is not None
+        assert candidate.predictor.name == "x"
+        assert merged == ["x"]
+
+
+def _key(candidate):
+    """The log adjusted p-value ``best_split`` ranks candidates by."""
+    return min(0.0, math.log(candidate.multiplier) + candidate.log_raw_p)
+
+
+def _reference_best_split(node, predictors, params):
+    """``best_split`` as documented, scoring every predictor with ``evaluate_predictor``."""
+    scored = [evaluate_predictor(node, p, params.alpha_merge) for p in predictors]
+    best = min(
+        (c for c in scored if c is not None),
+        key=lambda c: (_key(c), c.log_raw_p),
+        default=None,
+    )
+    return None if best is None or best.adjusted_p > params.alpha_split else best
+
+
+@st.composite
+def leaning_nodes(draw):
+    """A coded node over one to four predictors of any scale, each leaning on the class by its own amount.
+
+    A float predictor's floating category is its last one, and it is
+    observed or not; classes number two or three.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    classes = "uvw"[: draw(st.integers(2, 3))]
+    predictors, emitted, leans = [], [], []
+    for i in range(draw(st.integers(1, 4))):
+        cats = [f"k{j}" for j in range(draw(st.integers(2, 6)))]
+        scale = draw(st.sampled_from(list(Scale)))
+        float_cat = cats[-1] if scale is Scale.FLOAT else None
+        predictors.append(spec(cats, scale, name=f"x{i}", float_category=float_cat))
+        emitted.append(cats[:-1] if float_cat and draw(st.booleans()) else cats)
+        leans.append(draw(st.sampled_from([0.0, 0.1, 0.3, 0.6, 1.0])))
+    records = []
+    for _ in range(draw(st.integers(8, 150))):
+        code = rng.randrange(len(classes))
+        record = {"y": classes[code]}
+        for predictor, cats, lean in zip(predictors, emitted, leans):
+            leaning = rng.random() < lean
+            record[predictor.name] = cats[code % len(cats)] if leaning else rng.choice(cats)
+        records.append(record)
+    return coded(records, *(p.name for p in predictors)), predictors
+
+
+class TestSplitBound:
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_bound_is_at_most_the_scored_key(self, data):
+        n_cats = data.draw(st.integers(2, 7))
+        cats = [f"k{i}" for i in range(n_cats)]
+        scale = data.draw(st.sampled_from(list(Scale)))
+        float_cat = data.draw(st.sampled_from(cats)) if scale is Scale.FLOAT else None
+        classes = ["u", "v", "w"][: data.draw(st.integers(2, 3))]
+        # Rows that are multiples of one base row are proportional: merging
+        # them leaves the statistic as it was, so bound and key can tie.
+        base = [data.draw(st.integers(1, 30)) for _ in classes]
+        cell = st.one_of(st.just(0), st.integers(0, 5), st.integers(0, 60))
+        grid = []
+        for cat in cats:
+            if cat == float_cat and data.draw(st.booleans()):
+                grid.append([0] * len(classes))  # the floating category unobserved
+            elif data.draw(st.booleans()):
+                multiple = data.draw(st.integers(1, 3))
+                grid.append([multiple * b for b in base])
+            else:
+                grid.append([data.draw(cell) for _ in classes])
+        counts = {
+            (cat, cls): n for cat, row in zip(cats, grid) for cls, n in zip(classes, row) if n
+        } or {("k0", "u"): 1}
+        node = coded(records_from_counts(counts), "x")
+        predictor = spec(cats, scale, float_category=float_cat)
+        alpha_merge = data.draw(st.sampled_from([0.05, 0.5, 0.95]))
+        candidate = evaluate_predictor(node, predictor, alpha_merge)
+        table = build_contingency(node, "x")
+        if candidate is None:
+            assert table.n_rows < 2 or table.n_cols < 2
+            return
+        bound = chaidkit.core._log_p_bound(table, predictor)
+        assert bound <= 0.0
+        assert bound <= _key(candidate) + 1e-12
+
+    def test_a_merge_that_keeps_the_statistic_ties_the_bound(self):
+        # A and B are proportional, so they merge at p = 1 and the merged
+        # table has the node table's statistic: the bound's r = 2 term is
+        # the candidate's key.
+        table = ContingencyTable.from_counts("ABC", ["u", "v"], [[10, 20], [20, 40], [45, 5]])
+        counts = {(cat, cls): n for (cat,), row in zip(table.row_labels, table.counts)
+                  for cls, n in zip("uv", row)}
+        candidate = evaluate_predictor(coded(records_from_counts(counts), "x"), spec("ABC"), 0.05)
+        assert candidate.partition.groups == (("A", "B"), ("C",))
+        assert chi_square_test(table).statistic == pytest.approx(candidate.statistic, rel=1e-15)
+        bound = chaidkit.core._log_p_bound(table, spec("ABC"))
+        assert bound == pytest.approx(_key(candidate), abs=1e-12)
+        assert bound <= _key(candidate) + 1e-12
+
+    @given(leaning_nodes(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_pruning_changes_no_choice(self, nodes, data):
+        node, predictors = nodes
+        scored = [c for p in predictors if (c := evaluate_predictor(node, p, 0.05)) is not None]
+        # alpha_split sits on, just either side of, or well away from a
+        # candidate's adjusted p-value, kept strictly inside (0, 1).
+        near = data.draw(st.sampled_from(scored)).adjusted_p if scored else 0.05
+        factor = data.draw(st.sampled_from([1e-3, 0.5, 1 - 1e-12, 1.0, 1 + 1e-12, 2.0, 1e3]))
+        alpha_split = min(max(near * factor, 5e-324), math.nextafter(1.0, 0.0))
+        params = GrowthParams(alpha_split=alpha_split)
+        assert best_split(node, predictors, params) == _reference_best_split(
+            node, predictors, params
+        )
+
+
 def _candidate(group_sizes=(50, 50), raw_p=0.001, multiplier=2):
     groups = tuple((f"g{i}",) for i in range(len(group_sizes)))
     return SplitCandidate(
