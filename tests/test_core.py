@@ -422,10 +422,11 @@ def _reference_best_split(node, predictors, params):
 
 @st.composite
 def leaning_nodes(draw):
-    """A coded node over one to four predictors of any scale, each leaning on the class by its own amount.
+    """A coded node over one to four predictors of any scale, each leaning on the class.
 
-    A float predictor's floating category is its last one, and it is
-    observed or not; classes number two or three.
+    Each predictor leans by its own amount, from none to fully. A float
+    predictor's floating category is its last one, observed or not;
+    classes number two or three.
     """
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     classes = "uvw"[: draw(st.integers(2, 3))]
