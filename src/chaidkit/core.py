@@ -209,7 +209,7 @@ def _pair_p_value(row_a: Sequence[int], row_b: Sequence[int]) -> float:
     return chi_square_p_value(pearson_statistic((obs_a, obs_b)), len(obs_a) - 1)
 
 
-def _effective_scale(predictor: PredictorSpec, observed: Collection[str]) -> Scale:
+def _node_scale(predictor: PredictorSpec, observed: Collection[str]) -> Scale:
     """The predictor's scale at a node with categories ``observed``.
 
     A float-scale predictor whose floating category never occurred at the
@@ -254,7 +254,7 @@ def merge_categories(
             )
     rows = sorted(zip(table.row_labels, table.counts), key=lambda row: rank[row[0][0]])
     observed = [cat for (cat,), _ in rows]
-    scale = _effective_scale(predictor, observed)
+    scale = _node_scale(predictor, observed)
     float_index = observed.index(predictor.float_category) if scale is Scale.FLOAT else None
 
     # Dense order index over non-floating categories, for adjacency.
@@ -311,7 +311,7 @@ def _score(table: ContingencyTable, predictor: PredictorSpec, alpha_merge: float
     partition = merge_categories(table, predictor, alpha_merge)
     merged = table.merge_rows(partition.groups)
     result = chi_square_test(merged)
-    scale = _effective_scale(predictor, partition.all_categories())
+    scale = _node_scale(predictor, partition.all_categories())
     multiplier = bonferroni_multiplier(scale, table.n_rows, len(partition.groups))
     return SplitCandidate(
         predictor=predictor,
@@ -333,7 +333,7 @@ def _log_p_bound(table: ContingencyTable, predictor: PredictorSpec) -> float:
     by Cauchy-Schwarz, nor changes the columns, and the tail rises with df.
     """
     statistic = pearson_statistic(table.counts)
-    scale = _effective_scale(predictor, [cat for (cat,) in table.row_labels])
+    scale = _node_scale(predictor, [cat for (cat,) in table.row_labels])
     c, extra = table.n_rows, table.n_cols - 1
     # At r = c the multiplier is 1, so the bound is at most 0, as the key it bounds is.
     return min(

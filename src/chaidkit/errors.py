@@ -13,11 +13,17 @@ class ModelError(ChaidError):
     """Malformed or internally inconsistent model document."""
 
 
-def _number(kind: type, value: object) -> int | float:
-    """A number field of a model or schema document: no text, no bool, no fraction for an int."""
-    if isinstance(value, (bool, str)) or kind(value) != value:
-        raise ValueError(f"expected {kind.__name__}, not {value!r}")
-    return kind(value)
+def _number(kind: type, value: object, field: str) -> int | float:
+    """A number field of a model or schema document: no text, no bool, no fraction for an int.
+
+    Every refusal is a ``ValueError`` that names ``field``.
+    """
+    try:
+        if not isinstance(value, (bool, str)) and kind(value) == value:
+            return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{field}: expected {kind.__name__}, not {value!r}")
 
 
 def _text(value: object, what: str, error: type[ChaidError]) -> str:

@@ -112,7 +112,7 @@ def train_tree(dataset: Dataset, params: GrowthParams = GrowthParams()) -> Tree:
     predictors = dataset.predictor_specs()
     if not predictors:
         raise ChaidError("schema declares no predictors")
-    target = dataset.target_name
+    target = dataset.schema.target.name
     if target not in dataset.columns:
         raise ChaidError(f"record 0 is missing the target column {target!r}")
     universes = {spec.name: spec.categories for spec in predictors}

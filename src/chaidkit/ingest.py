@@ -111,12 +111,12 @@ class BinningSpec:
         if not isinstance(boundaries, (list, type(None))):
             raise DataError(f"binning boundaries must be a list, not {boundaries!r}")
         try:
-            count = None if bin_count is None else _number(int, bin_count)
-        except (TypeError, ValueError, OverflowError):
+            count = None if bin_count is None else _number(int, bin_count, "bin count")
+        except ValueError:
             raise DataError(f"binning bin count must be a whole number, not {bin_count!r}") from None
         try:
-            cuts = None if boundaries is None else tuple(_number(float, b) for b in boundaries)
-        except (TypeError, ValueError, OverflowError):
+            cuts = None if boundaries is None else tuple(_number(float, b, "cut") for b in boundaries)
+        except ValueError:
             raise DataError(f"binning boundaries must be numbers, not {boundaries!r}") from None
         strategy = _text(doc["strategy"], "binning strategy", DataError)
         return cls(strategy=strategy, bin_count=count, boundaries=cuts)
@@ -165,7 +165,12 @@ def _bin_labels(boundaries: Sequence[float]) -> list[str]:
 
 @dataclass(frozen=True)
 class ColumnSpec:
-    """One column's declaration: role, kind, scale, and binning/category data."""
+    """One column's declaration: role, kind, scale, and binning/category data.
+
+    A target or predictor's unset defaults are filled in on construction:
+    the free scale, the missing label as a float predictor's floating
+    category, and equal-frequency binning for a numeric column.
+    """
 
     name: str
     role: str
@@ -185,8 +190,6 @@ class ColumnSpec:
         if self.role == "ignored":
             return
         if self.kind == "numeric":
-            if self.binning is None:
-                raise DataError(f"numeric column {self.name!r} needs a binning rule")
             if self.categories is not None:
                 raise DataError(
                     f"column {self.name!r}: declared categories are only for categorical columns"
@@ -203,21 +206,17 @@ class ColumnSpec:
                 raise DataError("scale applies only to predictor columns")
             if self.float_category is not None:
                 raise DataError("a floating category applies only to predictor columns")
-        elif self.float_category is not None and self.effective_scale is not Scale.FLOAT:
+        elif self.float_category is not None and self.scale is not Scale.FLOAT:
             raise DataError(
                 f"column {self.name!r}: a floating category requires the float scale"
             )
-
-    @property
-    def effective_scale(self) -> Scale:
-        """Predictor scale with the default applied: unspecified means free."""
-        return self.scale if self.scale is not None else Scale.FREE
-
-    @property
-    def effective_float_category(self) -> str | None:
-        if self.role == "predictor" and self.effective_scale is Scale.FLOAT:
-            return self.float_category or MISSING_LABEL
-        return None
+        if self.kind == "numeric" and self.binning is None:
+            bins = DEFAULT_TARGET_BINS if self.role == "target" else DEFAULT_PREDICTOR_BINS
+            object.__setattr__(self, "binning", BinningSpec("equal_frequency", bin_count=bins))
+        if self.role == "predictor":
+            object.__setattr__(self, "scale", self.scale or Scale.FREE)
+            if self.scale is Scale.FLOAT:
+                object.__setattr__(self, "float_category", self.float_category or MISSING_LABEL)
 
     def to_doc(self) -> dict:
         doc: dict = {"name": self.name, "role": self.role, "kind": self.kind}
@@ -250,13 +249,6 @@ class ColumnSpec:
             except ValueError:
                 raise DataError(f"column {name!r}: unknown scale {scale_doc!r}") from None
         binning_doc = doc.get("binning")
-        if binning_doc is None and kind == "numeric" and role in ("target", "predictor"):
-            bins = DEFAULT_TARGET_BINS if role == "target" else DEFAULT_PREDICTOR_BINS
-            binning = BinningSpec(strategy="equal_frequency", bin_count=bins)
-        elif binning_doc is None:
-            binning = None
-        else:
-            binning = BinningSpec.from_doc(binning_doc)
         categories_doc = doc.get("categories")
         if not isinstance(categories_doc, (list, type(None))):
             raise DataError(f"column {name!r}: categories must be a list, not {categories_doc!r}")
@@ -266,7 +258,7 @@ class ColumnSpec:
             role=role,
             kind=kind,
             scale=scale,
-            binning=binning,
+            binning=None if binning_doc is None else BinningSpec.from_doc(binning_doc),
             categories=None
             if categories_doc is None
             else tuple(_text(c, f"column {name!r}: categories", DataError) for c in categories_doc),
@@ -377,27 +369,16 @@ class Dataset:
         return tuple(self.iter_records())
 
     @property
-    def target_name(self) -> str:
-        return self.schema.target.name
-
-    @property
     def classes(self) -> tuple[str, ...]:
         """Target class universe, in declared (or boundary) order."""
         return tuple(self._labels(self.schema.target))
 
     def predictor_specs(self) -> tuple[PredictorSpec, ...]:
         """One PredictorSpec per predictor column, in schema order."""
-        specs = []
-        for col in self.schema.predictors:
-            specs.append(
-                PredictorSpec(
-                    name=col.name,
-                    scale=col.effective_scale,
-                    categories=self._universe(col),
-                    float_category=col.effective_float_category,
-                )
-            )
-        return tuple(specs)
+        return tuple(
+            PredictorSpec(col.name, col.scale, self._universe(col), col.float_category)
+            for col in self.schema.predictors
+        )
 
     @cached_property
     def _observed(self) -> dict[str, list[str]]:
@@ -419,7 +400,7 @@ class Dataset:
 
     def _universe(self, col: ColumnSpec) -> tuple[str, ...]:
         """A predictor's categories: its labels with the floating category moved last."""
-        float_cat = col.effective_float_category
+        float_cat = col.float_category
         universe = [label for label in self._labels(col) if label != float_cat]
         if float_cat is not None:
             universe.append(float_cat)
@@ -438,9 +419,6 @@ class Dataset:
             if col.role == "ignored":
                 continue
             changes: dict = {}
-            if col.role == "predictor":
-                changes["scale"] = col.effective_scale
-                changes["float_category"] = col.effective_float_category
             if col.kind == "numeric":
                 changes["binning"] = BinningSpec(
                     "explicit_boundaries", boundaries=self.boundaries.get(col.name, ())
@@ -556,13 +534,13 @@ def _label(
         cells = list(map(str.strip, map(itemgetter(index[col.name]), rows)))
         missing = missing_counts[col.name] = cells.count("")
         if missing and not (
-            col.role == "predictor" and (not require_target or col.effective_scale is Scale.FLOAT)
+            col.role == "predictor" and (not require_target or col.scale is Scale.FLOAT)
         ):
             shown = _first_few([str(n) for n, cell in enumerate(cells, first_row) if cell == ""])
             problems.append(f"column {col.name!r}: missing value at row(s) {shown}")
             continue
         # A float-scale predictor's blank cells are its floating category.
-        blank = col.effective_float_category or MISSING_LABEL
+        blank = col.float_category or MISSING_LABEL
 
         if col.kind == "numeric":
             values = _numbers(col.name, cells, first_row)
@@ -576,9 +554,9 @@ def _label(
         else:
             declared = set(col.categories) if col.categories is not None else None
             if declared is not None and require_target:
-                if col.effective_float_category is not None:
+                if col.float_category is not None:
                     # Blank cells become the floating category; it may be written too.
-                    declared.add(col.effective_float_category)
+                    declared.add(col.float_category)
                 declared.add("")
                 if not declared.issuperset(cells):
                     shown = _first_few(

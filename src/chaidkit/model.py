@@ -136,24 +136,18 @@ class Tree:
     # -- routing and prediction -------------------------------------------
 
     def route(
-        self,
-        record: Mapping[str, object],
-        *,
-        on_novel: str = "largest_child",
-        warn: Callable[[str], None] | None = None,
+        self, record: Mapping[str, object], *, warn: Callable[[str], None] | None = None
     ) -> int:
         """Walk the record from the root to a terminal node and return its id.
 
         A value missing from the record, or never grouped at the split
-        (a category unseen in training), is handled per ``on_novel``:
-        ``"largest_child"`` follows the child with the most training
-        records (ties to the smaller node id) and reports the detour
-        through ``warn``; ``"error"`` raises instead. The missing label
-        and a float predictor's floating category, which blank cells
-        become, are reported as missing values.
+        (a category unseen in training, or seen only under other nodes),
+        follows the child with the most training records (ties to the
+        smaller node id), and the detour is reported through ``warn``; a
+        ``warn`` that raises stops routing there. The missing label and a
+        float predictor's floating category, which blank cells become, are
+        reported as missing values.
         """
-        if on_novel not in ("largest_child", "error"):
-            raise ModelError(f"unknown novel-category policy {on_novel!r}")
         node = self.nodes[0]
         while node.split is not None:
             raw = record.get(node.split.predictor)
@@ -161,8 +155,6 @@ class Tree:
             child_id = self._child_of[node.id].get(value)
             if child_id is None:
                 child_id, cause = self._detour(node, value)
-                if on_novel == "error":
-                    raise ModelError(f"unroutable record: {cause}")
                 if warn is not None:
                     warn(f"{cause}; following the largest child (node {child_id})")
             node = self.nodes[child_id]
@@ -185,7 +177,10 @@ class Tree:
         if value in {None, MISSING_LABEL, *floating}:
             cause = f"missing value for predictor {predictor!r}"
         else:
-            cause = f"category {value!r} of predictor {predictor!r} was not seen in training"
+            cause = (
+                f"category {value!r} of predictor {predictor!r} "
+                f"was not seen in training at node {node.id}"
+            )
         return max(node.children, key=lambda c: self.nodes[c].size), cause
 
     def distribution(self, node_id: int) -> ClassDistribution:
@@ -258,7 +253,10 @@ class Tree:
             growth = document["growth_params"]
             # Each field takes the type of its default: float alphas, int sizes.
             params = GrowthParams(
-                **{f.name: _number(type(f.default), growth[f.name]) for f in fields(GrowthParams)}
+                **{
+                    f.name: _number(type(f.default), growth[f.name], f"growth_params.{f.name}")
+                    for f in fields(GrowthParams)
+                }
             )
             predictors = tuple(
                 PredictorSpec(
@@ -274,9 +272,7 @@ class Tree:
                 )
                 for p in document["predictors"]
             )
-            nodes = tuple(
-                _node_from_doc(node_doc) for node_doc in document["nodes"]
-            )
+            nodes = tuple(_node_from_doc(i, doc) for i, doc in enumerate(document["nodes"]))
             schema = document.get("schema")
             tree = cls(
                 target=_text(document["target"], "target", ModelError),
@@ -348,7 +344,8 @@ def _list(value: object, name: str) -> list:
     return value
 
 
-def _node_from_doc(doc: object) -> TreeNode:
+def _node_from_doc(index: int, doc: object) -> TreeNode:
+    """The node at position ``index`` of a model document's node list."""
     if not isinstance(doc, dict):
         raise ModelError("node entry must be a mapping")
     split_doc = doc.get("split")
@@ -371,13 +368,18 @@ def _node_from_doc(doc: object) -> TreeNode:
         reason = None if reason_doc is None else StopReason(reason_doc)
     except ValueError as exc:
         raise ModelError(f"unknown stop reason {reason_doc!r}") from exc
+    at = f"nodes[{index}]"
     return TreeNode(
-        id=_number(int, doc["id"]),
-        depth=_number(int, doc["depth"]),
-        parent=None if doc.get("parent") is None else _number(int, doc["parent"]),
+        id=_number(int, doc["id"], f"{at}.id"),
+        depth=_number(int, doc["depth"], f"{at}.depth"),
+        parent=None if doc.get("parent") is None else _number(int, doc["parent"], f"{at}.parent"),
         split=split,
-        children=tuple(_number(int, c) for c in _list(doc["children"], "children")),
-        class_counts={str(k): _number(int, v) for k, v in class_counts.items()},
+        children=tuple(
+            _number(int, c, f"{at}.children") for c in _list(doc["children"], "children")
+        ),
+        class_counts={
+            str(k): _number(int, v, f"{at}.class_counts") for k, v in class_counts.items()
+        },
         stop_reason=reason,
     )
 

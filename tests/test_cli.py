@@ -15,14 +15,15 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chaidkit import Scale, Tree, load_model, save_model
 from chaidkit import ingest
 from chaidkit.cli import main
 from chaidkit.core import CategoryPartition, StopReason
-from chaidkit.ingest import MISSING_LABEL, BinningSpec, ColumnSpec, DatasetSchema
+from chaidkit.grow import train_tree
+from chaidkit.ingest import MISSING_LABEL, BinningSpec, ColumnSpec, DatasetSchema, load_dataset
 from chaidkit.model import NodeSplit, TreeNode
 from conftest import sales_fixture_tree
 
@@ -400,6 +401,29 @@ class TestPredict:
         lines = out.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 2
 
+    def test_a_category_seen_only_under_other_nodes_names_the_node(self, tmp_path, capsys):
+        # x2 splits the root; under x2=p (node 1) x1 splits {a} from {b}, and
+        # x1=c, a training category of x1, only ever came with x2=q.
+        rows = [f"{'ab'[i % 2]},p,{'uv'[i % 2]}" for i in range(200)]
+        rows += [f"{'abc'[i % 3]},q,w" for i in range(230)]
+        data = tmp_path / "train.csv"
+        data.write_text("x1,x2,y\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        schema = write_schema(
+            tmp_path / "schema.json", cat("x1"), cat("x2"), cat("y", role="target")
+        )
+        rc, model = train(tmp_path, schema, data)
+        assert rc == 0
+        assert "c" in load_model(model).predictors[0].categories
+        novel = tmp_path / "novel.csv"
+        novel.write_text("x1,x2\nc,p\n", encoding="utf-8")
+        capsys.readouterr()
+        argv = ["predict", "--model", str(model), "--data", str(novel), "--out", str(tmp_path / "o")]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == (
+            "warning: row 1: category 'c' of predictor 'x1' was not seen in training at node 1; "
+            "following the largest child (node 3)\n"
+        )
+
     def test_warnings_keep_row_order_and_root_to_leaf_order(self, tmp_path, capsys):
         # x splits the root into node 1 (x=a, 40 rows, then split on z) and
         # node 2 (x=b, 30 rows, then split on w); node 1 is the larger child.
@@ -424,9 +448,9 @@ class TestPredict:
         assert capsys.readouterr().err == (
             "warning: row 1: missing value for predictor 'z'; "
             "following the largest child (node 3)\n"
-            "warning: row 2: category 't' of predictor 'x' was not seen in training; "
+            "warning: row 2: category 't' of predictor 'x' was not seen in training at node 0; "
             "following the largest child (node 1)\n"
-            "warning: row 2: category 'c' of predictor 'z' was not seen in training; "
+            "warning: row 2: category 'c' of predictor 'z' was not seen in training at node 1; "
             "following the largest child (node 3)\n"
             "warning: row 3: missing value for predictor 'w'; "
             "following the largest child (node 5)\n"
@@ -558,7 +582,7 @@ class TestPredictMatchesRoute:
             predicted = list(csv.reader(out.read_text(encoding="utf-8").splitlines()))
         leaves = [int(row[len(predicting[0])]) for row in predicted[1:]]
         # The oracle: a blank cell loads as the floating category or the missing label.
-        blank = {spec.name: spec.effective_float_category or MISSING_LABEL for spec in predictors}
+        blank = {spec.name: spec.float_category or MISSING_LABEL for spec in predictors}
         expected_leaves, expected_err = [], []
         header, *rows = predicting
         for number, cells in enumerate(rows, start=1):
@@ -866,6 +890,40 @@ class TestInspect:
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
     @pytest.mark.parametrize(
+        "path, field",
+        [
+            (("nodes", 1, "id"), "nodes[1].id"),
+            (("nodes", 1, "depth"), "nodes[1].depth"),
+            (("nodes", 1, "parent"), "nodes[1].parent"),
+            (("nodes", 0, "children", 1), "nodes[0].children"),
+            (("nodes", 2, "class_counts", "v"), "nodes[2].class_counts"),
+        ]
+        + [
+            (("growth_params", name), f"growth_params.{name}")
+            for name in ("alpha_merge", "alpha_split", "max_depth", "min_parent_size",
+                         "min_child_size")
+        ],
+        ids=lambda v: v if isinstance(v, str) else None,
+    )
+    def test_number_field_that_is_text_names_the_field(
+        self, tmp_path, perfect, capsys, path, field
+    ):
+        model, _ = setup_model(tmp_path, perfect)
+        doc = json.loads(model.read_text(encoding="utf-8"))
+        holder = doc
+        for key in path[:-1]:
+            holder = holder[key]
+        number = holder[path[-1]]
+        holder[path[-1]] = str(number)
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["inspect", "--model", str(model)]) == 1
+        kind = type(number).__name__
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: malformed model document: {field}: expected {kind}, not {str(number)!r}"
+        ]
+
+    @pytest.mark.parametrize(
         "field,text", [("children", "12"), ("classes", "uv"), ("categories", "ab")]
     )
     def test_string_for_a_list_is_one_error_line(
@@ -1053,3 +1111,110 @@ class TestPredictInBatches:
         assert rc == 1
         assert "--out names the --data file" in capsys.readouterr().err
         assert data.read_bytes() == before
+
+
+def _fuzz_inputs():
+    """A trained model document, its schema document and its training rows, built in memory."""
+    schema = DatasetSchema(
+        (
+            cat("x"),
+            cat("z", scale=Scale.FLOAT),
+            ColumnSpec("n", "predictor", "numeric", binning=BinningSpec("equal_width", 3)),
+            cat("y", role="target"),
+        )
+    )
+    # x splits the root in two; z has blank cells, its floating category.
+    cells = [("ab"[i % 2], "pq"[i // 2 % 2] if i % 7 else "", i % 9, "uv"[i % 2]) for i in range(60)]
+    rows = "x,z,n,y\n" + "".join(",".join(map(str, row)) + "\n" for row in cells)
+    tree = train_tree(load_dataset(io.StringIO(rows), schema))
+    return schema.to_doc(), tree.to_document(), rows
+
+
+FUZZ_SCHEMA, FUZZ_MODEL, FUZZ_ROWS = _fuzz_inputs()
+#: Stands for deleting the key or item at a path instead of replacing it.
+DELETE = object()
+
+
+def _paths(doc, prefix=()):
+    """Every key path into a JSON document, the document's own fields first."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+def _mutated(doc, mutations):
+    """A copy of ``doc`` with each (path, value) applied; paths an earlier change removed are skipped."""
+    doc = json.loads(json.dumps(doc))
+    for path, value in mutations:
+        holder = doc
+        try:
+            for key in path[:-1]:
+                holder = holder[key]
+            holder[path[-1]]
+        except (KeyError, IndexError, TypeError):
+            continue
+        if value is DELETE:
+            del holder[path[-1]]
+        else:
+            holder[path[-1]] = value
+    return doc
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+def mutations(doc):
+    """One to three replacements or deletions at paths of ``doc``."""
+    change = st.tuples(st.sampled_from(list(_paths(doc))), JSON_VALUES | st.just(DELETE))
+    return st.lists(change, min_size=1, max_size=3)
+
+
+def _run(argv):
+    """``main(argv)``'s exit code and stderr lines; stdout is dropped."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, err.getvalue().splitlines()
+
+
+def _assert_clean_exit(rc, err):
+    """Exit 0, or exit 1 with exactly one ``error:`` line; any other line is a warning."""
+    assert rc in (0, 1), err
+    assert sum(line.startswith("error: ") for line in err) == (rc == 1), err
+    assert all(line.startswith(("error: ", "warning: ")) for line in err), err
+
+
+class TestDocumentFuzz:
+    """Mutated model and schema documents end in exit 0 or in exactly one error line."""
+
+    @given(mutations(FUZZ_MODEL))
+    # A string spelling out the list it replaces, as in test_string_for_a_list_is_one_error_line.
+    @example([(("nodes", 0, "children"), "12")])
+    @example([(("classes",), "uv")])
+    @example([(("predictors", 0, "categories"), "ab")])
+    @settings(max_examples=150, deadline=None)
+    def test_mutated_model_through_inspect_and_predict(self, changes):
+        with tempfile.TemporaryDirectory() as tmp:
+            work = Path(tmp)
+            model, data = work / "model.json", work / "rows.csv"
+            model.write_text(json.dumps(_mutated(FUZZ_MODEL, changes)), encoding="utf-8")
+            data.write_text(FUZZ_ROWS, encoding="utf-8")
+            _assert_clean_exit(*_run(["inspect", "--model", str(model)]))
+            argv = ["predict", "--model", str(model), "--data", str(data)]
+            _assert_clean_exit(*_run(argv + ["--out", str(work / "pred.csv")]))
+
+    @given(mutations(FUZZ_SCHEMA))
+    @settings(max_examples=150, deadline=None)
+    def test_mutated_schema_through_train(self, changes):
+        with tempfile.TemporaryDirectory() as tmp:
+            work = Path(tmp)
+            schema, data = work / "schema.json", work / "rows.csv"
+            schema.write_text(json.dumps(_mutated(FUZZ_SCHEMA, changes)), encoding="utf-8")
+            data.write_text(FUZZ_ROWS, encoding="utf-8")
+            argv = ["train", "--data", str(data), "--schema", str(schema)]
+            _assert_clean_exit(*_run(argv + ["--model", str(work / "model.json")]))

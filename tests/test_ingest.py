@@ -186,9 +186,17 @@ class TestBinningSpec:
 
 
 class TestColumnSpec:
-    def test_numeric_predictor_needs_binning(self):
-        with pytest.raises(DataError, match="needs a binning rule"):
-            ColumnSpec(name="x", role="predictor", kind="numeric")
+    def test_numeric_column_gets_default_binning(self):
+        pred = ColumnSpec(name="x", role="predictor", kind="numeric")
+        assert pred.binning == BinningSpec(
+            strategy="equal_frequency", bin_count=ingest.DEFAULT_PREDICTOR_BINS
+        )
+        target = ColumnSpec(name="y", role="target", kind="numeric")
+        assert target.binning == BinningSpec(
+            strategy="equal_frequency", bin_count=ingest.DEFAULT_TARGET_BINS
+        )
+        # An ignored column is never parsed, so it gets no defaults.
+        assert ColumnSpec(name="z", role="ignored", kind="numeric").binning is None
 
     def test_binning_only_for_numeric(self):
         with pytest.raises(DataError, match="only for numeric"):
@@ -211,12 +219,19 @@ class TestColumnSpec:
         with pytest.raises(DataError, match="only to predictor"):
             cat_col("y", role="target", scale=Scale.FREE)
 
-    def test_effective_defaults(self):
+    def test_defaults_are_resolved_into_the_fields(self):
         col = cat_col("x")
-        assert col.effective_scale is Scale.FREE
-        assert col.effective_float_category is None
+        assert col.scale is Scale.FREE
+        assert col.float_category is None
         floaty = cat_col("x", scale=Scale.FLOAT)
-        assert floaty.effective_float_category == MISSING_LABEL
+        assert floaty.float_category == MISSING_LABEL
+        assert cat_col("x", scale=Scale.FLOAT, float_category="c").float_category == "c"
+        assert num_col("x", scale=Scale.FLOAT).float_category == MISSING_LABEL
+        assert num_col("x", scale=Scale.MONOTONIC).float_category is None
+        target = cat_col("y", role="target")
+        assert target.scale is None and target.float_category is None
+        # Resolved fields survive a schema document round trip unchanged.
+        assert ColumnSpec.from_doc(floaty.to_doc()) == floaty
 
     def test_from_doc_supplies_default_binning(self):
         pred = ColumnSpec.from_doc({"name": "x", "role": "predictor", "kind": "numeric"})

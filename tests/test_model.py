@@ -96,17 +96,18 @@ class TestRouting:
         assert "'12'" in warnings[0]
         assert "was not seen in training" in warnings[0]
 
-    def test_novel_category_error_policy(self):
+    def test_raising_warn_stops_routing(self):
         tree = sales_fixture_tree()
-        with pytest.raises(ModelError, match="unroutable record"):
-            tree.route({"dilihat": "2", "harga": "12"}, on_novel="error")
-        with pytest.raises(ModelError, match="unroutable record"):
-            tree.route({}, on_novel="error")
 
-    def test_unknown_policy_rejected(self):
-        tree = single_node_tree()
-        with pytest.raises(ModelError, match="unknown novel-category policy"):
-            tree.route({}, on_novel="panic")
+        def refuse(note):
+            raise LookupError(note)
+
+        with pytest.raises(LookupError, match="'12' of predictor 'harga' was not seen"):
+            tree.route({"dilihat": "2", "harga": "12"}, warn=refuse)
+        with pytest.raises(LookupError, match="missing value for predictor 'dilihat'"):
+            tree.route({}, warn=refuse)
+        # A record that needs no detour never calls it.
+        assert tree.route({"dilihat": "12", "harga": "5"}, warn=refuse) == 6
 
     def test_largest_child_tie_breaks_to_smaller_id(self):
         tree = small_tree()

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import ast
+import contextlib
 import importlib
+import io
 import re
 from pathlib import Path
 
@@ -108,3 +110,20 @@ def test_benchmark_tracer_wraps_the_growth_layers(monkeypatch):
         "stats.bonferroni_multiplier",
     ):
         assert tracer.named(name), name
+
+
+def test_library_use_examples_run_as_written():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, re.DOTALL)
+    assert len(blocks) == 3
+    namespace: dict = {}
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        for block in blocks:
+            exec(compile(block, "README.md", "exec"), namespace)
+    assert out.getvalue().splitlines() == [
+        "{'no': 0.0, 'yes': 1.0}",
+        "unroutable: category 'purple' of predictor 'color' was not seen in training at node 0; "
+        "following the largest child (node 2)",
+    ]
