@@ -14,13 +14,15 @@ import os
 import sys
 from contextlib import closing
 from dataclasses import asdict, replace
+from functools import cache
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
 from .core import GrowthParams
 from .errors import ChaidError
 from .grow import train_tree
-from .ingest import Dataset, DatasetSchema, iter_batches, load_dataset, load_schema
+from .ingest import DatasetSchema, iter_batches, load_dataset, load_schema
 from .model import Tree, load_model, save_model
 
 __all__ = ["build_parser", "main", "entrypoint"]
@@ -161,39 +163,34 @@ def cmd_predict(args: argparse.Namespace) -> int:
     schema = replace(echo, columns=kept)
     # A fault in the header or the first batch leaves no output file behind.
     with closing(iter_batches(args.data, schema)) as batches:
-        batch: Dataset | None = next(batches)
+        first = next(batches)
         if os.path.exists(args.out) and os.path.samefile(args.out, args.data):
             raise ChaidError("--out names the --data file, which is still being read")
         with open(args.out, "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle, delimiter=schema.delimiter, lineterminator="\n")
-            assert batch.header is not None
             writer.writerow(
-                list(batch.header)
+                list(first.header)
                 + ["leaf_id", "predicted_class"]
                 + [f"p_{cls}" for cls in tree.classes]
             )
-            # Every row routed to a leaf ends in the same cells: format them once.
-            leaf_cells: dict[int, tuple[str, ...]] = {}
-            notes: list[str] = []
             row_number = 0
-            while batch is not None:
-                assert batch.raw_rows is not None
+
+            def warn(note: str) -> None:
+                print(f"warning: row {row_number}: {note}", file=sys.stderr)
+
+            # Every row routed to a leaf ends in the same cells: format them once.
+            @cache
+            def tail(leaf_id: int) -> tuple[str, ...]:
+                dist = tree.distribution(leaf_id)
+                probabilities = (repr(dist.probabilities[cls]) for cls in tree.classes)
+                return (str(leaf_id), dist.modal_class(), *probabilities)
+
+            for batch in chain([first], batches):
                 lines = []
                 for raw, record in zip(batch.raw_rows, batch.iter_records()):
                     row_number += 1
-                    leaf_id = tree.route(record, warn=notes.append)
-                    for note in notes:
-                        print(f"warning: row {row_number}: {note}", file=sys.stderr)
-                    notes.clear()
-                    tail = leaf_cells.get(leaf_id)
-                    if tail is None:
-                        dist = tree.distribution(leaf_id)
-                        tail = leaf_cells[leaf_id] = (str(leaf_id), dist.modal_class()) + tuple(
-                            repr(dist.probabilities[cls]) for cls in tree.classes
-                        )
-                    lines.append(raw + tail)
+                    lines.append(raw + tail(tree.route(record, warn=warn)))
                 writer.writerows(lines)
-                batch = next(batches, None)
     return 0
 
 

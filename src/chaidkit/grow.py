@@ -39,16 +39,6 @@ def grow_tree(
     label columns and coded once, at the root; every node is then a list
     of row indices into them.
     """
-    if not records:
-        raise ChaidError("empty dataset")
-    if not predictors:
-        raise ChaidError("no predictors declared")
-    names = [spec.name for spec in predictors]
-    if len(set(names)) != len(names):
-        raise ChaidError("duplicate predictor name")
-    if target in names:
-        raise ChaidError(f"target {target!r} is also declared as a predictor")
-
     universes = {spec.name: spec.categories for spec in predictors}
     root = CodedRecords.from_records(records, target, universes, class_order)
     return _grow(root, predictors, target, params, schema=None)
@@ -61,7 +51,16 @@ def _grow(
     params: GrowthParams,
     schema: dict | None,
 ) -> Tree:
-    """The node loop over a coded root; every node is a list of row indices."""
+    """The one check of training input, then the node loop over a coded root's row indices."""
+    if not root.rows:
+        raise ChaidError("empty dataset")
+    if not predictors:
+        raise ChaidError("no predictors declared")
+    names = [spec.name for spec in predictors]
+    if len(set(names)) != len(names):
+        raise ChaidError("duplicate predictor name")
+    if target in names:
+        raise ChaidError(f"target {target!r} is also declared as a predictor")
     nodes: list[TreeNode] = []
     next_id = 1
     queue: deque[tuple[int, int, int | None, Sequence[int]]] = deque()
@@ -107,14 +106,8 @@ def _grow(
 
 def train_tree(dataset: Dataset, params: GrowthParams = GrowthParams()) -> Tree:
     """Grow a tree from a loaded dataset, embedding its schema echo."""
-    if not dataset.n_rows:
-        raise ChaidError("empty dataset")
     predictors = dataset.predictor_specs()
-    if not predictors:
-        raise ChaidError("schema declares no predictors")
     target = dataset.schema.target.name
-    if target not in dataset.columns:
-        raise ChaidError(f"record 0 is missing the target column {target!r}")
     universes = {spec.name: spec.categories for spec in predictors}
     root = CodedRecords.encode(dataset.columns, target, universes, dataset.classes)
     return _grow(root, predictors, target, params, dataset.schema_echo())

@@ -22,7 +22,7 @@ import math
 from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import partial
 from itertools import count, islice
 from operator import itemgetter
 from pathlib import Path
@@ -217,6 +217,14 @@ class ColumnSpec:
             object.__setattr__(self, "scale", self.scale or Scale.FREE)
             if self.scale is Scale.FLOAT:
                 object.__setattr__(self, "float_category", self.float_category or MISSING_LABEL)
+        label = self.float_category
+        if self.kind == "numeric" and label and label.isascii() and label.isdigit():
+            bins = self.binning.bin_count or len(self.binning.boundaries) + 1
+            # Bins are labeled "1".."bins"; blank cells in a bin's label would join that bin.
+            if label[0] != "0" and len(label) <= len(str(bins)) and int(label) <= bins:
+                raise DataError(
+                    f"column {self.name!r}: floating category {label!r} can be one of its bin labels"
+                )
 
     def to_doc(self) -> dict:
         doc: dict = {"name": self.name, "role": self.role, "kind": self.kind}
@@ -371,40 +379,28 @@ class Dataset:
     @property
     def classes(self) -> tuple[str, ...]:
         """Target class universe, in declared (or boundary) order."""
-        return tuple(self._labels(self.schema.target))
+        return self._categories(self.schema.target)
 
     def predictor_specs(self) -> tuple[PredictorSpec, ...]:
         """One PredictorSpec per predictor column, in schema order."""
         return tuple(
-            PredictorSpec(col.name, col.scale, self._universe(col), col.float_category)
+            PredictorSpec(col.name, col.scale, self._categories(col), col.float_category)
             for col in self.schema.predictors
         )
 
-    @cached_property
-    def _observed(self) -> dict[str, list[str]]:
-        """Each parsed categorical column's distinct labels, sorted: found once."""
-        return {
-            name: sorted(set(labels))
-            for name, labels in self.columns.items()
-            if name not in self.boundaries
-        }
+    def _categories(self, col: ColumnSpec) -> tuple[str, ...]:
+        """A column's ordered categories: bins, else the declared list, else the sorted observed.
 
-    def _labels(self, col: ColumnSpec) -> list[str]:
-        """A column's ordered labels: bins, else the declared list, else the sorted observed."""
+        A floating category goes last. A predictor with no categories has
+        the missing label; an empty target has no classes.
+        """
         if col.kind == "numeric":
-            bounds = self.boundaries.get(col.name, ())
-            return _bin_labels(bounds)
-        if col.categories is not None:
-            return list(col.categories)
-        return self._observed.get(col.name, [])
-
-    def _universe(self, col: ColumnSpec) -> tuple[str, ...]:
-        """A predictor's categories: its labels with the floating category moved last."""
-        float_cat = col.float_category
-        universe = [label for label in self._labels(col) if label != float_cat]
-        if float_cat is not None:
-            universe.append(float_cat)
-        return tuple(universe) or (MISSING_LABEL,)
+            labels = _bin_labels(self.boundaries.get(col.name, ()))
+        else:
+            labels = col.categories or sorted(set(self.columns.get(col.name, ())))
+        floating = () if col.float_category is None else (col.float_category,)
+        ordered = tuple(label for label in labels if label not in floating) + floating
+        return ordered if ordered or col.role == "target" else (MISSING_LABEL,)
 
     def schema_echo(self) -> dict:
         """Schema document with realized boundaries and category universes baked in.
@@ -412,22 +408,16 @@ class Dataset:
         Loading prediction input against this echo reproduces the training
         labeling exactly: numeric columns carry their realized boundaries
         as explicit cut points, categorical columns their full category
-        order.
+        order (a target without rows, none).
         """
         columns = []
         for col in self.schema.columns:
-            if col.role == "ignored":
-                continue
-            changes: dict = {}
-            if col.kind == "numeric":
-                changes["binning"] = BinningSpec(
-                    "explicit_boundaries", boundaries=self.boundaries.get(col.name, ())
-                )
-            elif col.role == "target":
-                changes["categories"] = self.classes
-            else:
-                changes["categories"] = self._universe(col)
-            columns.append(replace(col, **changes))
+            if col.kind == "numeric" and col.role != "ignored":
+                cuts = self.boundaries.get(col.name, ())
+                binning = BinningSpec("explicit_boundaries", boundaries=cuts)
+                columns.append(replace(col, binning=binning))
+            elif col.role != "ignored":
+                columns.append(replace(col, categories=self._categories(col) or None))
         return DatasetSchema(tuple(columns), self.schema.delimiter).to_doc()
 
 

@@ -250,34 +250,35 @@ class Tree:
                 f"unsupported model format version: {document.get('format_version')!r}"
             )
         try:
-            growth = document["growth_params"]
+            at, growth = "growth_params", _key(document, "growth_params")
             # Each field takes the type of its default: float alphas, int sizes.
             params = GrowthParams(
                 **{
-                    f.name: _number(type(f.default), growth[f.name], f"growth_params.{f.name}")
+                    f.name: _number(type(f.default), _key(growth, f.name, at), f"{at}.{f.name}")
                     for f in fields(GrowthParams)
                 }
             )
             predictors = tuple(
                 PredictorSpec(
-                    name=_text(p["name"], "predictor name", ModelError),
-                    scale=Scale(p["scale"]),
+                    name=_text(_key(p, "name", f"predictors[{i}]"), "predictor name", ModelError),
+                    scale=Scale(_key(p, "scale", f"predictors[{i}]")),
                     categories=tuple(
                         _text(c, "predictor categories", ModelError)
-                        for c in _list(p["categories"], "categories")
+                        for c in _list(_key(p, "categories", f"predictors[{i}]"), "categories")
                     ),
                     float_category=None
                     if p.get("float_category") is None
                     else _text(p["float_category"], "predictor float_category", ModelError),
                 )
-                for p in document["predictors"]
+                for i, p in enumerate(_key(document, "predictors"))
             )
-            nodes = tuple(_node_from_doc(i, doc) for i, doc in enumerate(document["nodes"]))
+            nodes = tuple(_node_from_doc(i, doc) for i, doc in enumerate(_key(document, "nodes")))
             schema = document.get("schema")
             tree = cls(
-                target=_text(document["target"], "target", ModelError),
+                target=_text(_key(document, "target"), "target", ModelError),
                 classes=tuple(
-                    _text(c, "classes", ModelError) for c in _list(document["classes"], "classes")
+                    _text(c, "classes", ModelError)
+                    for c in _list(_key(document, "classes"), "classes")
                 ),
                 nodes=nodes,
                 growth_params=params,
@@ -344,23 +345,33 @@ def _list(value: object, name: str) -> list:
     return value
 
 
+def _key(doc: Mapping, key: str, at: str = "") -> object:
+    """The required ``key`` of the model document mapping at path ``at``; missing, it is named."""
+    try:
+        return doc[key]
+    except KeyError:
+        raise ValueError(f"{at}: missing {key!r}" if at else f"missing {key!r}") from None
+
+
 def _node_from_doc(index: int, doc: object) -> TreeNode:
     """The node at position ``index`` of a model document's node list."""
     if not isinstance(doc, dict):
         raise ModelError("node entry must be a mapping")
+    at = f"nodes[{index}]"
     split_doc = doc.get("split")
     split = None
     if split_doc is not None:
-        groups = split_doc["groups"]
+        groups = _key(split_doc, "groups", f"{at}.split")
         if not isinstance(groups, list) or not all(isinstance(g, list) for g in groups):
             raise ModelError(f"split groups must be a list of lists, not {groups!r}")
+        predictor = _key(split_doc, "predictor", f"{at}.split")
         split = NodeSplit(
-            predictor=_text(split_doc["predictor"], "split predictor", ModelError),
+            predictor=_text(predictor, "split predictor", ModelError),
             partition=CategoryPartition(
                 tuple(tuple(_text(c, "split groups", ModelError) for c in g) for g in groups)
             ),
         )
-    class_counts = doc["class_counts"]
+    class_counts = _key(doc, "class_counts", at)
     if not isinstance(class_counts, dict):
         raise ModelError(f"class_counts must be a mapping, not {class_counts!r}")
     reason_doc = doc.get("stop_reason")
@@ -368,14 +379,14 @@ def _node_from_doc(index: int, doc: object) -> TreeNode:
         reason = None if reason_doc is None else StopReason(reason_doc)
     except ValueError as exc:
         raise ModelError(f"unknown stop reason {reason_doc!r}") from exc
-    at = f"nodes[{index}]"
     return TreeNode(
-        id=_number(int, doc["id"], f"{at}.id"),
-        depth=_number(int, doc["depth"], f"{at}.depth"),
+        id=_number(int, _key(doc, "id", at), f"{at}.id"),
+        depth=_number(int, _key(doc, "depth", at), f"{at}.depth"),
         parent=None if doc.get("parent") is None else _number(int, doc["parent"], f"{at}.parent"),
         split=split,
         children=tuple(
-            _number(int, c, f"{at}.children") for c in _list(doc["children"], "children")
+            _number(int, c, f"{at}.children")
+            for c in _list(_key(doc, "children", at), "children")
         ),
         class_counts={
             str(k): _number(int, v, f"{at}.class_counts") for k, v in class_counts.items()

@@ -201,9 +201,13 @@ class CodedRecords:
         observed classes.
 
         Raises:
-            ChaidError: a duplicate class in ``class_order``, or a label
-                outside it or outside a column's given categories.
+            ChaidError: a missing column, a duplicate class in ``class_order``,
+                or a label outside it or outside a column's given categories.
         """
+        for name in (target, *universes):
+            if name not in columns:
+                what = "the target column" if name == target else "column"
+                raise ChaidError(f"record 0 is missing {what} {name!r}")
         labels = columns[target]
         if class_order is None:
             classes = tuple(sorted(set(labels)))

@@ -175,6 +175,24 @@ class TestTrain:
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: missing required column 'y'"]
 
+    def test_schema_without_predictors_is_one_error_line(self, tmp_path, capsys):
+        schema = write_schema(tmp_path / "schema.json", cat("y", role="target"))
+        data = tmp_path / "train.csv"
+        data.write_text("y\nu\nv\n", encoding="utf-8")
+        rc, model = train(tmp_path, schema, data)
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == ["error: no predictors declared"]
+        assert not model.exists()
+
+    def test_header_only_data_is_one_error_line(self, tmp_path, perfect, capsys):
+        schema, _ = perfect
+        data = tmp_path / "train.csv"
+        data.write_text("x,y\n", encoding="utf-8")
+        rc, model = train(tmp_path, schema, data)
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == ["error: empty dataset"]
+        assert not model.exists()
+
     @pytest.mark.parametrize(
         "doc, message",
         [
@@ -257,6 +275,12 @@ class TestTrain:
                 schema_doc(categorical(categories=[])),
                 "column 'x': declared category list is empty",
                 id="empty_categories",
+            ),
+            pytest.param(
+                schema_doc({**binned(strategy="equal_frequency", bin_count=4), "scale": "float",
+                            "float_category": "1"}),
+                "column 'x': floating category '1' can be one of its bin labels",
+                id="numeric_float_category_is_a_bin_label",
             ),
             pytest.param(
                 schema_doc(categorical(), categorical("y", "target", float_category="?")),
@@ -921,6 +945,31 @@ class TestInspect:
         kind = type(number).__name__
         assert capsys.readouterr().err.splitlines() == [
             f"error: malformed model document: {field}: expected {kind}, not {str(number)!r}"
+        ]
+
+    @pytest.mark.parametrize(
+        "path, message",
+        [
+            (("nodes", 1, "depth"), "nodes[1]: missing 'depth'"),
+            (("growth_params", "max_depth"), "growth_params: missing 'max_depth'"),
+            (("nodes", 0, "split", "groups"), "nodes[0].split: missing 'groups'"),
+            (("predictors", 0, "scale"), "predictors[0]: missing 'scale'"),
+            (("nodes",), "missing 'nodes'"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else None,
+    )
+    def test_missing_key_names_its_path(self, tmp_path, perfect, capsys, path, message):
+        model, _ = setup_model(tmp_path, perfect)
+        doc = json.loads(model.read_text(encoding="utf-8"))
+        holder = doc
+        for key in path[:-1]:
+            holder = holder[key]
+        del holder[path[-1]]
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["inspect", "--model", str(model)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: malformed model document: {message}"
         ]
 
     @pytest.mark.parametrize(

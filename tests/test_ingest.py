@@ -233,6 +233,21 @@ class TestColumnSpec:
         # Resolved fields survive a schema document round trip unchanged.
         assert ColumnSpec.from_doc(floaty.to_doc()) == floaty
 
+    def test_numeric_floating_category_cannot_be_a_bin_label(self):
+        # Blank cells would join the bin of that label and make it float.
+        for label in ("1", "4"):
+            with pytest.raises(DataError, match=f"column 'x': floating category '{label}'"):
+                num_col("x", bins=4, scale=Scale.FLOAT, float_category=label)
+        with pytest.raises(DataError, match="can be one of its bin labels"):
+            ColumnSpec(
+                name="x", role="predictor", kind="numeric", binning=QUARTILE_CUTS,
+                scale=Scale.FLOAT, float_category="4",
+            )
+        # No label of four bins: "0", "5", a leading zero, a non-ASCII digit.
+        for label in ("0", "5", "01", "\uff11", "?"):
+            col = num_col("x", bins=4, scale=Scale.FLOAT, float_category=label)
+            assert col.float_category == label
+
     def test_from_doc_supplies_default_binning(self):
         pred = ColumnSpec.from_doc({"name": "x", "role": "predictor", "kind": "numeric"})
         assert pred.binning == BinningSpec(strategy="equal_frequency", bin_count=12)
@@ -517,12 +532,17 @@ class TestDatasetDerived:
             num_col("n", bins=2),
             cat_col("c", categories=("q", "p")),
             cat_col("f", scale=Scale.FLOAT),
+            num_col("g", bins=2, scale=Scale.FLOAT),
             cat_col("y", role="target"),
         )
-        data = "n,c,f,y\n1,p,zz,u\n2,q,,v\n3,p,aa,u\n4,q,aa,v\n"
+        data = "n,c,f,g,y\n1,p,zz,5,u\n2,q,,,v\n3,p,aa,7,u\n4,q,aa,6,v\n"
         dataset = load_text(data, schema)
         by_name = {spec.name: spec for spec in dataset.predictor_specs()}
         assert by_name["n"].categories == ("1", "2")
+        # A numeric float predictor's categories are its bins, then the floating one.
+        assert dataset.columns["g"] == ["1", MISSING_LABEL, "2", "1"]
+        assert by_name["g"].categories == ("1", "2", MISSING_LABEL)
+        assert by_name["g"].float_category == MISSING_LABEL
         assert by_name["c"].categories == ("q", "p")
         assert by_name["f"].scale is Scale.FLOAT
         # Observed order is sorted, with the floating category appended.
@@ -534,10 +554,11 @@ class TestDatasetDerived:
             num_col("n", bins=3),
             cat_col("c"),
             ColumnSpec(name="junk", role="ignored", kind="categorical"),
+            num_col("g", bins=2, scale=Scale.FLOAT),
             num_col("y", role="target", bins=2),
         )
-        data = "n,c,junk,y\n" + "".join(
-            f"{v},k{v % 3},x,{v * 7 % 13}\n" for v in range(1, 21)
+        data = "n,c,junk,g,y\n" + "".join(
+            f"{v},k{v % 3},x,{'' if v % 4 == 0 else v},{v * 7 % 13}\n" for v in range(1, 21)
         )
         dataset = load_text(data, schema)
         echo = DatasetSchema.from_doc(dataset.schema_echo())
@@ -546,5 +567,9 @@ class TestDatasetDerived:
         assert again.classes == dataset.classes
         # Echoed numeric columns carry the realized cuts verbatim.
         assert again.boundaries == dataset.boundaries
+        # A numeric float predictor's categories are its bins, then the floating one.
+        assert again.predictor_specs() == dataset.predictor_specs()
+        g = next(spec for spec in again.predictor_specs() if spec.name == "g")
+        assert g.categories == ("1", "2", MISSING_LABEL)
         names = [col.name for col in echo.columns]
         assert "junk" not in names

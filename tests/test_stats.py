@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from chaidkit import (
     ChaidError,
+    CodedRecords,
     ContingencyTable,
     Scale,
     bonferroni_multiplier,
@@ -126,6 +127,17 @@ class TestContingency:
     def test_empty_node(self):
         with pytest.raises(ChaidError, match="empty node"):
             build_contingency(coded([], "x"), "x")
+
+    @pytest.mark.parametrize(
+        "columns, message",
+        [
+            ({"x": ["a"]}, "record 0 is missing the target column 'y'"),
+            ({"y": ["u"]}, "record 0 is missing column 'x'"),
+        ],
+    )
+    def test_encode_refuses_a_missing_column(self, columns, message):
+        with pytest.raises(ChaidError, match=message):
+            CodedRecords.encode(columns, "y", {"x": None})
 
     def test_value_outside_partition(self):
         records = records_from_counts({("A", "u"): 1, ("D", "u"): 1})
