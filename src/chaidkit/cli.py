@@ -13,7 +13,7 @@ import csv
 import os
 import sys
 from contextlib import closing
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from functools import cache
 from itertools import chain
 from pathlib import Path
@@ -26,6 +26,16 @@ from .ingest import DatasetSchema, iter_batches, load_dataset, load_schema
 from .model import Tree, load_model, save_model
 
 __all__ = ["build_parser", "main", "entrypoint"]
+
+
+#: Each growth parameter's ``train`` option and help text, in ``GrowthParams`` field order.
+_GROWTH_OPTIONS = {
+    "alpha_merge": ("--alpha-merge", "significance level for category merging"),
+    "alpha_split": ("--alpha-split", "significance level a split must reach"),
+    "max_depth": ("--max-depth", "maximum tree depth"),
+    "min_parent_size": ("--min-parent", "smallest node that may still split"),
+    "min_child_size": ("--min-child", "smallest child a split may create"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -42,37 +52,16 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--data", required=True, help="training data file (delimited text)")
     train.add_argument("--schema", required=True, help="schema file (JSON)")
     train.add_argument("--model", required=True, help="where to write the model document")
-    defaults = GrowthParams()
-    train.add_argument(
-        "--alpha-merge",
-        type=float,
-        default=defaults.alpha_merge,
-        help="significance level for category merging (default %(default)s)",
-    )
-    train.add_argument(
-        "--alpha-split",
-        type=float,
-        default=defaults.alpha_split,
-        help="significance level a split must reach (default %(default)s)",
-    )
-    train.add_argument(
-        "--max-depth",
-        type=int,
-        default=defaults.max_depth,
-        help="maximum tree depth (default %(default)s)",
-    )
-    train.add_argument(
-        "--min-parent",
-        type=int,
-        default=defaults.min_parent_size,
-        help="smallest node that may still split (default %(default)s)",
-    )
-    train.add_argument(
-        "--min-child",
-        type=int,
-        default=defaults.min_child_size,
-        help="smallest child a split may create (default %(default)s)",
-    )
+    for f in fields(GrowthParams):
+        flag, what = _GROWTH_OPTIONS[f.name]
+        train.add_argument(
+            flag,
+            dest=f.name,
+            metavar=flag[2:].replace("-", "_").upper(),
+            type=type(f.default),
+            default=f.default,
+            help=f"{what} (default %(default)s)",
+        )
     train.add_argument("--verbose", action="store_true", help="extra detail on stderr")
 
     predict = sub.add_parser("predict", help="route records through a trained model")
@@ -128,16 +117,10 @@ def _split_predictors(tree: Tree) -> list[str]:
 def cmd_train(args: argparse.Namespace) -> int:
     schema = load_schema(args.schema)
     dataset = load_dataset(args.data, schema)
-    params = GrowthParams(
-        alpha_merge=args.alpha_merge,
-        alpha_split=args.alpha_split,
-        max_depth=args.max_depth,
-        min_parent_size=args.min_parent,
-        min_child_size=args.min_child,
-    )
+    params = GrowthParams(**{f.name: getattr(args, f.name) for f in fields(GrowthParams)})
     if args.verbose:
-        fields = " ".join(f"{name}={value}" for name, value in asdict(params).items())
-        print(f"params: {fields}", file=sys.stderr)
+        pairs = " ".join(f"{name}={value}" for name, value in asdict(params).items())
+        print(f"params: {pairs}", file=sys.stderr)
         for name, count in dataset.missing_counts.items():
             if count:
                 print(f"missing values in {name!r}: {count}", file=sys.stderr)

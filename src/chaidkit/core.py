@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import Collection, Mapping, Sequence
 
 from .errors import ChaidError
@@ -104,6 +105,21 @@ class CategoryPartition:
         return frozenset(c for g in self.groups for c in g)
 
 
+def _adjusted_p(multiplier: int, raw_p: float, log_raw_p: float) -> float:
+    """``min(1, multiplier * raw_p)``, also for a multiplier beyond the float range.
+
+    Up to 2**53 the multiplier is an exact float, so the float product is
+    the exact product rounded once. Past that the product is taken in
+    rationals, or from logs where ``raw_p`` underflowed to 0.0 and could
+    hide a product up to 1.
+    """
+    if multiplier <= 2**53:
+        return min(1.0, multiplier * raw_p)
+    if raw_p == 0.0:
+        return math.exp(min(0.0, math.log(multiplier) + log_raw_p))
+    return float(min(1, Fraction(raw_p) * multiplier))
+
+
 @dataclass(frozen=True)
 class SplitCandidate:
     """A scored way to split a node on one predictor.
@@ -130,8 +146,7 @@ class SplitCandidate:
             raise ChaidError("group sizes do not match partition groups")
         if self.multiplier < 1:
             raise ChaidError("multiplier must be at least 1")
-        expected = min(1.0, self.multiplier * self.raw_p)
-        if abs(self.adjusted_p - expected) > 1e-12:
+        if abs(self.adjusted_p - _adjusted_p(self.multiplier, self.raw_p, self.log_raw_p)) > 1e-12:
             raise ChaidError("adjusted p-value is not min(1, multiplier * raw_p)")
 
 
@@ -321,7 +336,7 @@ def _score(table: ContingencyTable, predictor: PredictorSpec, alpha_merge: float
         raw_p=result.p_value,
         log_raw_p=result.log_p,
         multiplier=multiplier,
-        adjusted_p=min(1.0, multiplier * result.p_value),
+        adjusted_p=_adjusted_p(multiplier, result.p_value, result.log_p),
         group_sizes=tuple(merged.row_totals()),
     )
 

@@ -1,4 +1,7 @@
-"""Exception types, and the number and text rules of documents, shared across the library."""
+"""Exception types, and the rules for reading and writing documents, shared across the library."""
+
+from dataclasses import asdict
+from enum import Enum
 
 
 class ChaidError(Exception):
@@ -31,3 +34,14 @@ def _text(value: object, what: str, error: type[ChaidError]) -> str:
     if not isinstance(value, str):
         raise error(f"{what} must be text, not {value!r}")
     return value
+
+
+def _doc(spec: object) -> dict:
+    """A schema dataclass as a document: unset fields left out, enums by value, tuples as lists."""
+    return asdict(spec, dict_factory=lambda kv: {k: _plain(v) for k, v in kv if v is not None})
+
+
+def _plain(value: object) -> object:
+    if isinstance(value, Enum):
+        return value.value
+    return list(value) if isinstance(value, tuple) else value

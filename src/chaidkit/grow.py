@@ -11,7 +11,8 @@ the model file alone.
 from __future__ import annotations
 
 from collections import deque
-from typing import Mapping, Sequence
+from functools import partial
+from typing import Callable, Mapping, Sequence
 
 from .core import GrowthParams, PredictorSpec, best_split, should_stop
 from .errors import ChaidError
@@ -39,20 +40,25 @@ def grow_tree(
     label columns and coded once, at the root; every node is then a list
     of row indices into them.
     """
-    universes = {spec.name: spec.categories for spec in predictors}
-    root = CodedRecords.from_records(records, target, universes, class_order)
-    return _grow(root, predictors, target, params, schema=None)
+    code = partial(CodedRecords.from_records, records, target, class_order=class_order)
+    return _grow(len(records), code, predictors, target, params, schema=None)
 
 
 def _grow(
-    root: CodedRecords,
+    n_rows: int,
+    code: Callable[[Mapping[str, Sequence[str]]], CodedRecords],
     predictors: Sequence[PredictorSpec],
     target: str,
     params: GrowthParams,
     schema: dict | None,
 ) -> Tree:
-    """The one check of training input, then the node loop over a coded root's row indices."""
-    if not root.rows:
+    """The one check of training input, then the node loop over the coded root's row indices.
+
+    The checks run in this order, all before ``code`` maps each predictor
+    to its categories and codes the root: no rows, no predictors, a
+    duplicate predictor name, the target among the predictors.
+    """
+    if not n_rows:
         raise ChaidError("empty dataset")
     if not predictors:
         raise ChaidError("no predictors declared")
@@ -61,6 +67,7 @@ def _grow(
         raise ChaidError("duplicate predictor name")
     if target in names:
         raise ChaidError(f"target {target!r} is also declared as a predictor")
+    root = code({spec.name: spec.categories for spec in predictors})
     nodes: list[TreeNode] = []
     next_id = 1
     queue: deque[tuple[int, int, int | None, Sequence[int]]] = deque()
@@ -108,6 +115,5 @@ def train_tree(dataset: Dataset, params: GrowthParams = GrowthParams()) -> Tree:
     """Grow a tree from a loaded dataset, embedding its schema echo."""
     predictors = dataset.predictor_specs()
     target = dataset.schema.target.name
-    universes = {spec.name: spec.categories for spec in predictors}
-    root = CodedRecords.encode(dataset.columns, target, universes, dataset.classes)
-    return _grow(root, predictors, target, params, dataset.schema_echo())
+    code = partial(CodedRecords.encode, dataset.columns, target, class_order=dataset.classes)
+    return _grow(dataset.n_rows, code, predictors, target, params, dataset.schema_echo())

@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from .core import MISSING_LABEL, PredictorSpec
-from .errors import DataError, _number, _text
+from .errors import DataError, _doc, _number, _text
 from .stats import Scale
 
 __all__ = [
@@ -95,12 +95,7 @@ class BinningSpec:
                 raise DataError("bin count must be at least 2")
 
     def to_doc(self) -> dict:
-        doc: dict = {"strategy": self.strategy}
-        if self.bin_count is not None:
-            doc["bin_count"] = self.bin_count
-        if self.boundaries is not None:
-            doc["boundaries"] = list(self.boundaries)
-        return doc
+        return _doc(self)
 
     @classmethod
     def from_doc(cls, doc: object) -> "BinningSpec":
@@ -227,16 +222,7 @@ class ColumnSpec:
                 )
 
     def to_doc(self) -> dict:
-        doc: dict = {"name": self.name, "role": self.role, "kind": self.kind}
-        if self.scale is not None:
-            doc["scale"] = self.scale.value
-        if self.binning is not None:
-            doc["binning"] = self.binning.to_doc()
-        if self.categories is not None:
-            doc["categories"] = list(self.categories)
-        if self.float_category is not None:
-            doc["float_category"] = self.float_category
-        return doc
+        return _doc(self)
 
     @classmethod
     def from_doc(cls, doc: object) -> "ColumnSpec":

@@ -203,31 +203,21 @@ class Tree:
             "classes": list(self.classes),
             "growth_params": asdict(self.growth_params),
             "predictors": [
-                {
-                    "name": spec.name,
-                    "scale": spec.scale.value,
-                    "categories": list(spec.categories),
-                    "float_category": spec.float_category,
-                }
+                {**asdict(spec), "scale": spec.scale.value, "categories": list(spec.categories)}
                 for spec in self.predictors
             ],
             "schema": self.schema,
             "nodes": [
                 {
-                    "id": node.id,
-                    "depth": node.depth,
-                    "parent": node.parent,
+                    **asdict(node),
                     "children": list(node.children),
-                    "class_counts": dict(node.class_counts),
                     "split": None
                     if node.split is None
                     else {
                         "predictor": node.split.predictor,
                         "groups": [list(g) for g in node.split.partition.groups],
                     },
-                    "stop_reason": None
-                    if node.stop_reason is None
-                    else node.stop_reason.value,
+                    "stop_reason": None if node.stop_reason is None else node.stop_reason.value,
                 }
                 for node in self.nodes
             ],

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import csv
 import hashlib
@@ -12,6 +13,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
@@ -20,8 +22,8 @@ from hypothesis import strategies as st
 
 from chaidkit import Scale, Tree, load_model, save_model
 from chaidkit import ingest
-from chaidkit.cli import main
-from chaidkit.core import CategoryPartition, StopReason
+from chaidkit.cli import build_parser, main
+from chaidkit.core import CategoryPartition, GrowthParams, StopReason
 from chaidkit.grow import train_tree
 from chaidkit.ingest import MISSING_LABEL, BinningSpec, ColumnSpec, DatasetSchema, load_dataset
 from chaidkit.model import NodeSplit, TreeNode
@@ -100,6 +102,42 @@ LENIENT = "--alpha-merge 0.3 --alpha-split 0.5 --max-depth 4 --min-parent 4 --mi
 
 
 class TestTrain:
+    def test_each_growth_param_has_one_train_option_with_its_default(self):
+        parser = build_parser()
+        (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        options = sub.choices["train"]._actions
+        for f in fields(GrowthParams):
+            (option,) = (a for a in options if a.dest == f.name)
+            assert option.default == f.default
+            assert option.type is type(f.default)
+        args = parser.parse_args("train --data d --schema s --model m".split())
+        assert {f.name: getattr(args, f.name) for f in fields(GrowthParams)} == asdict(GrowthParams())
+
+    def test_every_growth_option_reaches_the_model(self, tmp_path, perfect):
+        schema, data = perfect
+        rc, model = train(tmp_path, schema, data, *LENIENT)
+        assert rc == 0
+        written = json.loads(model.read_text(encoding="utf-8"))["growth_params"]
+        assert written == {
+            "alpha_merge": 0.3,
+            "alpha_split": 0.5,
+            "max_depth": 4,
+            "min_parent_size": 4,
+            "min_child_size": 2,
+        }
+        assert all(written[name] != default for name, default in asdict(GrowthParams()).items())
+
+    def test_a_multiplier_beyond_the_float_range(self, tmp_path, capsys):
+        # 220 free categories merge to 50 groups, and S(220, 50) has 1027 bits.
+        schema = write_schema(tmp_path / "schema.json", cat("shop"), cat("y", role="target"))
+        data = tmp_path / "train.csv"
+        rows = "".join(f"c{i:03d},k{i % 50}\n" for i in range(220) for _ in range(4))
+        data.write_text("shop,y\n" + rows, encoding="utf-8")
+        rc, model = train(tmp_path, schema, data)
+        out, err = capsys.readouterr()
+        assert (rc, err) == (0, "")
+        assert out.splitlines()[:2] == ["nodes: 51, terminal: 50, depth: 1", "split variables: shop"]
+
     def test_perfect_predictor_report(self, tmp_path, perfect, capsys):
         schema, data = perfect
         rc, model = train(tmp_path, schema, data)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 import scipy.stats
@@ -23,7 +24,7 @@ from chaidkit import (
     evaluate_predictor,
     merge_categories,
 )
-from chaidkit.core import CategoryPartition, SplitCandidate, StopReason, should_stop
+from chaidkit.core import CategoryPartition, SplitCandidate, StopReason, _adjusted_p, should_stop
 from conftest import (
     coded,
     merge_by_recomputing,
@@ -282,6 +283,17 @@ class TestEvaluatePredictor:
         assert candidate is not None
         assert candidate.adjusted_p == 1.0
 
+    def test_multiplier_beyond_the_float_range(self):
+        # 220 free categories merge to 50 groups, and S(220, 50) has 1027 bits.
+        cats = [f"c{i:03d}" for i in range(220)]
+        records = [{"x": c, "y": f"k{i % 50}"} for i, c in enumerate(cats) for _ in range(4)]
+        candidate = evaluate_predictor(coded(records, "x"), spec(cats), 0.05)
+        assert candidate is not None
+        assert len(candidate.partition.groups) == 50
+        assert candidate.multiplier.bit_length() == 1027
+        log_adjusted = math.log(candidate.multiplier) + candidate.log_raw_p
+        assert candidate.adjusted_p == math.exp(min(0.0, log_adjusted))
+
     @given(st.data())
     @settings(max_examples=120, deadline=None)
     def test_split_table_equals_a_recount(self, data):
@@ -516,7 +528,7 @@ class TestSplitBound:
         )
 
 
-def _candidate(group_sizes=(50, 50), raw_p=0.001, multiplier=2):
+def _candidate(group_sizes=(50, 50), raw_p=0.001, multiplier=2, adjusted_p=None):
     groups = tuple((f"g{i}",) for i in range(len(group_sizes)))
     return SplitCandidate(
         predictor=spec([f"g{i}" for i in range(len(group_sizes))]),
@@ -526,9 +538,40 @@ def _candidate(group_sizes=(50, 50), raw_p=0.001, multiplier=2):
         raw_p=raw_p,
         log_raw_p=math.log(raw_p),
         multiplier=multiplier,
-        adjusted_p=min(1.0, multiplier * raw_p),
+        adjusted_p=min(1.0, multiplier * raw_p) if adjusted_p is None else adjusted_p,
         group_sizes=tuple(group_sizes),
     )
+
+
+class TestAdjustedP:
+    @given(st.integers(1, 2**53), st.floats(0.0, 1.0))
+    def test_the_float_product_while_the_multiplier_is_an_exact_float(self, multiplier, raw_p):
+        log_raw_p = math.log(raw_p) if raw_p else -800.0
+        assert _adjusted_p(multiplier, raw_p, log_raw_p) == min(1.0, multiplier * raw_p)
+
+    @given(st.integers(1, 2**1100), st.floats(0.0, 1.0, exclude_min=True))
+    def test_the_exact_product_rounded_once(self, multiplier, raw_p):
+        exact = float(min(1, Fraction(raw_p) * multiplier))
+        assert _adjusted_p(multiplier, raw_p, math.log(raw_p)) == exact
+
+    def test_exact_beyond_the_float_range(self):
+        tiny = 2.0**-1074
+        assert _adjusted_p(2**1030, tiny, math.log(tiny)) == 2.0**-44
+        assert _adjusted_p(2**1030 + 1, tiny, math.log(tiny)) == 2.0**-44
+        assert _adjusted_p(2**1100, tiny, math.log(tiny)) == 1.0
+
+    def test_an_underflowed_raw_p_is_read_from_its_log(self):
+        multiplier = 2**2000
+        near = _adjusted_p(multiplier, 0.0, -math.log(multiplier) - 10.0)
+        assert near == pytest.approx(math.exp(-10.0), rel=1e-9)
+        assert _adjusted_p(multiplier, 0.0, -1000.0) == 1.0
+        assert _adjusted_p(multiplier, 0.0, -5000.0) == 0.0
+
+    def test_a_candidate_takes_a_multiplier_beyond_the_float_range(self):
+        candidate = _candidate(raw_p=1e-300, multiplier=2**1100, adjusted_p=1.0)
+        assert candidate.adjusted_p == 1.0
+        with pytest.raises(ChaidError, match="adjusted p-value"):
+            _candidate(raw_p=1e-300, multiplier=2**1100, adjusted_p=0.5)
 
 
 class TestShouldStop:

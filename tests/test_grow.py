@@ -164,6 +164,25 @@ class TestGrowValidation:
         with pytest.raises(ChaidError, match="target"):
             grow_tree([{"y": "u"}], [pred], "y", GrowthParams())
 
+    def test_declarations_are_checked_before_the_records_are_coded(self):
+        # Each record holds a value its predictor does not declare, which coding refuses.
+        target_too = PredictorSpec("y", Scale.FREE, ("u",), None)
+        with pytest.raises(ChaidError, match="target 'y' is also declared as a predictor"):
+            grow_tree([{"y": "w"}], [target_too], "y")
+        x = PredictorSpec("x", Scale.FREE, ("a",), None)
+        with pytest.raises(ChaidError, match="duplicate predictor name"):
+            grow_tree([{"x": "b", "y": "u"}], [x, x], "y")
+
+    def test_check_order(self):
+        y = PredictorSpec("y", Scale.FREE, ("u",), None)
+        with pytest.raises(ChaidError, match="empty dataset"):
+            grow_tree([], [], "y")
+        # The record lacks the target, which coding refuses.
+        with pytest.raises(ChaidError, match="no predictors declared"):
+            grow_tree([{"x": "a"}], [], "y")
+        with pytest.raises(ChaidError, match="duplicate predictor name"):
+            grow_tree([{"x": "a"}], [y, y], "y")
+
     def test_missing_target_column(self):
         pred = PredictorSpec("x", Scale.FREE, ("a", "b"), None)
         with pytest.raises(ChaidError, match="missing the target column"):
