@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Collection, Mapping, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .errors import ChaidError
 from .stats import (
@@ -182,30 +182,6 @@ class StopReason(str, Enum):
     WOULD_CREATE_SMALL_CHILD = "would_create_small_child"
 
 
-def _eligible_pairs(
-    groups: Sequence[Sequence[int]], scale: Scale, ord_index: Mapping[int, int]
-) -> list[tuple[int, int]]:
-    """Index pairs ``(i, j)``, ``i < j``, of the groups that may merge under ``scale``.
-
-    Groups hold indices into the observed-category order; ``ord_index``
-    ranks the non-floating ones, so adjacency is taken over that order.
-    """
-    n = len(groups)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    if scale is Scale.FREE:
-        return pairs
-    spans: list[tuple[int, int] | None] = []
-    for group in groups:
-        ranks = [ord_index[m] for m in group if m in ord_index]
-        spans.append((min(ranks), max(ranks)) if ranks else None)
-
-    def adjacent(a: tuple[int, int] | None, b: tuple[int, int] | None) -> bool:
-        # A group that is just the floating category may pair with anything.
-        return a is None or b is None or a[1] + 1 == b[0] or b[1] + 1 == a[0]
-
-    return [(i, j) for i, j in pairs if adjacent(spans[i], spans[j])]
-
-
 def _pair_p_value(row_a: Sequence[int], row_b: Sequence[int]) -> float:
     """p-value of the 2 x J test between two merged-category count rows.
 
@@ -270,36 +246,41 @@ def merge_categories(
     rows = sorted(zip(table.row_labels, table.counts), key=lambda row: rank[row[0][0]])
     observed = [cat for (cat,), _ in rows]
     scale = _node_scale(predictor, observed)
-    float_index = observed.index(predictor.float_category) if scale is Scale.FLOAT else None
+    floating = predictor.float_category if scale is Scale.FLOAT else None
 
-    # Dense order index over non-floating categories, for adjacency.
-    ordered = [i for i in range(len(observed)) if i != float_index]
-    ord_index = {i: position for position, i in enumerate(ordered)}
-    # Each group is a list of indices into ``observed``, with its count row
-    # over the target classes alongside, so pair tests need two additions.
-    # Group j always folds into group i < j, so groups stay ordered by their
-    # first category, and a group's first category names it in ``p_cache``.
-    groups = [[i] for i in range(len(observed))]
-    counts = [list(row) for _, row in rows]
-    p_cache: dict[tuple[int, int], float] = {}
-    while len(groups) > 2:
-        best: tuple[int, int] | None = None
-        best_p = -1.0
-        for i, j in _eligible_pairs(groups, scale, ord_index):
-            key = (groups[i][0], groups[j][0])
-            p = p_cache.get(key)
-            if p is None:
-                p = p_cache[key] = _pair_p_value(counts[i], counts[j])
-            if p > best_p:
-                best, best_p = (i, j), p
-        if best is None or best_p <= alpha_merge:
+    # A group is keyed by its first index into ``observed``; group b always
+    # folds into group a < b, so keys keep group order. It carries its
+    # members, its count row over the target classes, and the span of its
+    # ranks among the non-floating categories, absent for the floating
+    # category alone, which may pair with any group.
+    members = {i: [i] for i in range(len(observed))}
+    counts = {i: list(row) for i, (_, row) in enumerate(rows)}
+    ranked = (i for i, cat in enumerate(observed) if cat != floating)
+    spans = {i: (r, r) for r, i in enumerate(ranked)}
+    # ``p`` holds the p-value of every pair of groups that may merge now.
+    p: dict[tuple[int, int], float] = {}
+
+    def test(pairs: Iterable[tuple[int, int]]) -> None:
+        for a, b in pairs:
+            s, t = spans.get(a), spans.get(b)
+            if scale is Scale.FREE or not s or not t or s[1] + 1 == t[0] or t[1] + 1 == s[0]:
+                p[a, b] = _pair_p_value(counts[a], counts[b])
+
+    if len(members) > 2:
+        test((a, b) for a in members for b in members if a < b)
+    while p:
+        best = max(p.values())
+        if best <= alpha_merge:
             break
-        i, j = best
-        merged = {groups[i][0], groups[j][0]}
-        p_cache = {k: v for k, v in p_cache.items() if merged.isdisjoint(k)}
-        groups[i] += groups.pop(j)
-        counts[i] = [a + b for a, b in zip(counts[i], counts.pop(j))]
-    return CategoryPartition(tuple(tuple(observed[m] for m in sorted(g)) for g in groups))
+        a, b = min(pair for pair, value in p.items() if value == best)
+        members[a] += members.pop(b)
+        counts[a] = [x + y for x, y in zip(counts[a], counts.pop(b))]
+        s, t = spans.get(a), spans.pop(b, None)
+        spans[a] = (min(s[0], t[0]), max(s[1], t[1])) if s and t else s or t
+        p = {pair: value for pair, value in p.items() if a not in pair and b not in pair}
+        if len(members) > 2:
+            test((min(a, c), max(a, c)) for c in members if c != a)
+    return CategoryPartition(tuple(tuple(observed[m] for m in sorted(g)) for g in members.values()))
 
 
 def evaluate_predictor(

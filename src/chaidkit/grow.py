@@ -76,7 +76,8 @@ def _grow(
         node_id, depth, parent, rows = queue.popleft()
         node = root.at(rows)
         class_counts = node.class_counts()
-        candidate = best_split(node, predictors, params)
+        # A one-class node cannot split; searching would only count its tables.
+        candidate = best_split(node, predictors, params) if len(class_counts) > 1 else None
         reason = should_stop(depth, len(rows), candidate, params)
         split = None
         child_ids: tuple[int, ...] = ()

@@ -143,7 +143,9 @@ def _compute_boundaries(values: Sequence[float], spec: BinningSpec) -> tuple[flo
         if spec.strategy == "equal_frequency":
             cut = ordered[-(-j * n // k) - 1]
         else:
-            cut = lo + (top - lo) * j / k
+            # Past the float range the product overflows; the weighted form cannot.
+            width = (top - lo) * j
+            cut = lo + width / k if math.isfinite(width) else lo / k * (k - j) + top / k * j
         # Cuts never decrease; on a range too narrow for the float grid they
         # repeat or reach the top, and such cuts collapse.
         if cut >= top:

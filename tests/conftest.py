@@ -115,8 +115,11 @@ def _float_partitions(c: int, r: int):
 
 def merge_by_recomputing(
     table: ContingencyTable, predictor: PredictorSpec, alpha_merge: float
-) -> tuple[tuple[str, ...], ...]:
+) -> tuple[tuple[tuple[str, ...], ...], set[tuple[tuple[str, ...], tuple[str, ...]]]]:
     """The merge loop with no p-value cache: every eligible pair is retested each round.
+
+    Returns the groups, and the distinct pairs of groups tested over all
+    rounds, each group as its categories in the order they joined it.
 
     Same rules as :func:`merge_categories`: merge the eligible pair with the
     largest p-value while it exceeds ``alpha_merge`` and more than two
@@ -148,11 +151,13 @@ def merge_by_recomputing(
 
     groups = [[cat] for cat in observed]
     counts = [list(row) for _, row in rows]
+    tested = set()
     while len(groups) > 2:
         n = len(groups)
         pairs = [
             (i, j) for i in range(n) for j in range(i + 1, n) if eligible(groups[i], groups[j])
         ]
+        tested.update((tuple(groups[i]), tuple(groups[j])) for i, j in pairs)
         p_values = [pair_p_value(counts[i], counts[j]) for i, j in pairs]
         best = max(range(len(pairs)), key=p_values.__getitem__)
         if p_values[best] <= alpha_merge:
@@ -160,7 +165,7 @@ def merge_by_recomputing(
         i, j = pairs[best]
         groups[i] += groups.pop(j)
         counts[i] = [a + b for a, b in zip(counts[i], counts.pop(j))]
-    return tuple(tuple(sorted(group, key=order.__getitem__)) for group in groups)
+    return tuple(tuple(sorted(group, key=order.__getitem__)) for group in groups), tested
 
 
 def coded(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 import scipy.stats
@@ -215,7 +216,8 @@ class TestMergeCategories:
     def test_same_partition_as_recomputing_every_pair(self, data):
         # Sparse tables (mostly empty cells) make pairs tie at p = 1.0, where
         # the earliest pair must still win once p-values come from the cache.
-        n_cats = data.draw(st.integers(2, 9))
+        # Up to 30 categories run the group spans through many merges.
+        n_cats = data.draw(st.integers(2, 30))
         cats = data.draw(st.permutations([f"k{i}" for i in range(n_cats)]))
         scale = data.draw(st.sampled_from([Scale.MONOTONIC, Scale.FREE, Scale.FLOAT]))
         float_cat = data.draw(st.sampled_from(cats)) if scale is Scale.FLOAT else None
@@ -227,8 +229,14 @@ class TestMergeCategories:
         table = ContingencyTable.from_counts(cats, classes, grid)
         predictor = spec(cats, scale, float_category=float_cat)
         alpha_merge = data.draw(st.sampled_from([0.05, 0.5, 0.95]))
-        partition = merge_categories(table, predictor, alpha_merge)
-        assert partition.groups == merge_by_recomputing(table, predictor, alpha_merge)
+        with mock.patch.object(
+            chaidkit.core, "_pair_p_value", wraps=chaidkit.core._pair_p_value
+        ) as pair_test:
+            partition = merge_categories(table, predictor, alpha_merge)
+        groups, tested = merge_by_recomputing(table, predictor, alpha_merge)
+        assert partition.groups == groups
+        # One test per distinct pair of groups the oracle tests over all its rounds.
+        assert pair_test.call_count == len(tested)
 
 
 class TestEvaluatePredictor:

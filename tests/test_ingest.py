@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from collections import Counter
 from unittest import mock
 
@@ -73,6 +74,17 @@ class TestBinning:
         assert bounds == (4.0, 7.0)
         assert labels == ["1", "1", "1", "3"]
 
+    def test_equal_width_past_the_float_range(self):
+        # top - lo, or (top - lo) * j, overflows to inf on these ranges, and
+        # the grid must not stop there.
+        spec = BinningSpec(strategy="equal_width", bin_count=4)
+        labels, bounds = load_bins([0.0, 1e308, 1.5e308], spec)
+        assert bounds == (3.75e307, 7.5e307, 1.125e308)
+        assert labels == ["1", "3", "4"]
+        labels, bounds = load_bins([-1e308, 0.0, 1e308], spec)
+        assert bounds == (-5e307, 0.0, 5e307)
+        assert labels == ["1", "2", "4"]
+
     def test_ties_go_to_the_lower_bin(self):
         labels, _ = load_bins([25.0, 25.001, 50.0], QUARTILE_CUTS)
         assert labels == ["1", "2", "2"]
@@ -115,6 +127,10 @@ class TestBinning:
     # and reach the top value.
     @example([1.0, 1.0000000000000002], 4, "equal_width")
     @example([0.0, 5e-324], 4, "equal_width")
+    # Ranges at the ends of the float range, where top - lo overflows.
+    @example([-1.7976931348623157e308, 1.7976931348623157e308], 6, "equal_width")
+    @example([-1.7976931348623157e308, 0.0, 1.7976931348623157e308], 3, "equal_frequency")
+    @example([0.0, 1e308, 1.5e308], 5, "equal_width")
     @settings(max_examples=120, deadline=None)
     def test_binning_properties(self, values, k, strategy):
         labels, bounds = load_bins(
@@ -122,6 +138,13 @@ class TestBinning:
         )
         assert all(bounds[i] < bounds[i + 1] for i in range(len(bounds) - 1))
         assert all(1 <= int(label) <= k for label in labels)
+        if strategy == "equal_width":
+            # The cuts stay on their grid: no gap, from the least value to the
+            # greatest, is wider than a bin, up to rounding.
+            lo, top = min(values), max(values)
+            edges = [lo, *bounds, top]
+            slack = 4 * math.ulp(max(abs(lo), abs(top)))
+            assert all(b - a <= top / k - lo / k + slack for a, b in zip(edges, edges[1:]))
         # Replaying the realized boundaries as explicit cut points is a
         # different code path that must reproduce identical labels.
         replay, replay_bounds = load_bins(
