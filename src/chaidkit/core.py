@@ -9,6 +9,7 @@ stop rules in a fixed order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -322,6 +323,12 @@ def _score(table: ContingencyTable, predictor: PredictorSpec, alpha_merge: float
     )
 
 
+@functools.cache
+def _log_multipliers(scale: Scale, c: int) -> tuple[float, ...]:
+    """log ``bonferroni_multiplier(scale, c, r)`` for r = 2..c, at index r - 2."""
+    return tuple(math.log(bonferroni_multiplier(scale, c, r)) for r in range(2, c + 1))
+
+
 def _log_p_bound(table: ContingencyTable, predictor: PredictorSpec) -> float:
     """The least log adjusted p-value any merge of ``table``'s rows can score.
 
@@ -333,9 +340,8 @@ def _log_p_bound(table: ContingencyTable, predictor: PredictorSpec) -> float:
     c, extra = table.n_rows, table.n_cols - 1
     # At r = c the multiplier is 1, so the bound is at most 0, as the key it bounds is.
     return min(
-        math.log(bonferroni_multiplier(scale, c, r))
-        + chi_square_log_p_value(statistic, (r - 1) * extra)
-        for r in range(2, c + 1)
+        log_multiplier + chi_square_log_p_value(statistic, (r - 1) * extra)
+        for r, log_multiplier in enumerate(_log_multipliers(scale, c), 2)
     )
 
 
@@ -348,23 +354,33 @@ def best_split(
     ``params.alpha_split``. Candidates rank by log adjusted p-value,
     ``min(0, log multiplier + log raw p)``, which stays finite where linear
     p-values underflow; ties break by log raw p-value, then by position in
-    ``predictors``, since ``min`` keeps the first of equal keys.
+    ``predictors``.
 
-    A predictor whose :func:`_log_p_bound` clears log ``alpha_split`` is never
-    merged: had it won, the winner in its place fails the check too.
+    The search is a branch and bound over predictors, with
+    :func:`_log_p_bound` as the relaxation. Every predictor is counted and
+    bounded, then merged and scored in increasing order of ``(bound,
+    position)``, until a bound lies above the cut: log ``alpha_split`` at
+    first, then the best key so far where that is lower. The order is
+    sorted, so no later predictor can win either. A predictor pruned by
+    ``alpha_split`` would fail that check had it won, and one pruned by the
+    incumbent cannot beat it.
     """
-    threshold = math.log(params.alpha_split) + 1e-9  # the bound's rounding margin
-    candidates = []
-    for predictor in predictors:
+    bounded = []
+    for position, predictor in enumerate(predictors):
         table = build_contingency(node, predictor.name)
-        if table.n_rows < 2 or table.n_cols < 2 or _log_p_bound(table, predictor) > threshold:
-            continue
-        candidates.append(_score(table, predictor, params.alpha_merge))
-    best = min(
-        candidates,
-        key=lambda c: (min(0.0, math.log(c.multiplier) + c.log_raw_p), c.log_raw_p),
-        default=None,
-    )
+        if table.n_rows >= 2 and table.n_cols >= 2:
+            bounded.append((_log_p_bound(table, predictor), position, table, predictor))
+    best, rank = None, None
+    cut = math.log(params.alpha_split)
+    for bound, position, table, predictor in sorted(bounded, key=lambda b: b[:2]):
+        if bound > cut + 1e-9:  # the bound's rounding margin
+            break
+        candidate = _score(table, predictor, params.alpha_merge)
+        scale = _node_scale(predictor, candidate.partition.all_categories())
+        log_multiplier = _log_multipliers(scale, table.n_rows)[len(candidate.partition.groups) - 2]
+        key = (min(0.0, log_multiplier + candidate.log_raw_p), candidate.log_raw_p, position)
+        if rank is None or key < rank:
+            best, rank, cut = candidate, key, min(cut, key[0])
     if best is None or best.adjusted_p > params.alpha_split:
         return None
     return best

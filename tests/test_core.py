@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -343,6 +344,20 @@ class TestEvaluatePredictor:
         assert candidate.group_sizes == tuple(recount.row_totals())
 
 
+@pytest.fixture
+def merged(monkeypatch):
+    """The names of the predictors ``best_split`` merges, in call order."""
+    names = []
+    original = chaidkit.core.merge_categories
+
+    def recording(table, predictor, alpha_merge):
+        names.append(predictor.name)
+        return original(table, predictor, alpha_merge)
+
+    monkeypatch.setattr(chaidkit.core, "merge_categories", recording)
+    return names
+
+
 class TestBestSplit:
     def test_perfect_predictor_wins(self):
         counts = {}
@@ -403,15 +418,7 @@ class TestBestSplit:
         assert best_split(coded(records, "x"), [spec("ab")], GrowthParams()) is None
 
 
-    def test_a_predictor_independent_of_the_target_is_never_merged(self, monkeypatch):
-        merged = []
-        original = chaidkit.core.merge_categories
-
-        def recording(table, predictor, alpha_merge):
-            merged.append(predictor.name)
-            return original(table, predictor, alpha_merge)
-
-        monkeypatch.setattr(chaidkit.core, "merge_categories", recording)
+    def test_a_predictor_independent_of_the_target_is_never_merged(self, merged):
         # x decides the class; every z category holds the two classes
         # equally, so z's statistic is 0 and no merge of it can pass.
         counts = {(z, x, cls): 10 for x, cls in (("a", "u"), ("b", "v")) for z in "pqrs"}
@@ -446,7 +453,9 @@ def leaning_nodes(draw):
 
     Each predictor leans by its own amount, from none to fully. A float
     predictor's floating category is its last one, observed or not;
-    classes number two or three.
+    classes number two or three. Sometimes one column is repeated under a
+    second name, ``<name>_twin``, at any schema position, so two predictors
+    tie exactly.
     """
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     classes = "uvw"[: draw(st.integers(2, 3))]
@@ -466,6 +475,12 @@ def leaning_nodes(draw):
             leaning = rng.random() < lean
             record[predictor.name] = cats[code % len(cats)] if leaning else rng.choice(cats)
         records.append(record)
+    if draw(st.booleans()):
+        source = draw(st.sampled_from(predictors))
+        twin = dataclasses.replace(source, name=f"{source.name}_twin")
+        for record in records:
+            record[twin.name] = record[source.name]
+        predictors.insert(draw(st.integers(0, len(predictors))), twin)
     return coded(records, *(p.name for p in predictors)), predictors
 
 
@@ -531,9 +546,33 @@ class TestSplitBound:
         factor = data.draw(st.sampled_from([1e-3, 0.5, 1 - 1e-12, 1.0, 1 + 1e-12, 2.0, 1e3]))
         alpha_split = min(max(near * factor, 5e-324), math.nextafter(1.0, 0.0))
         params = GrowthParams(alpha_split=alpha_split)
-        assert best_split(node, predictors, params) == _reference_best_split(
-            node, predictors, params
-        )
+        chosen = best_split(node, predictors, params)
+        assert chosen == _reference_best_split(node, predictors, params)
+        if chosen is not None:
+            # Of a column and its twin, which tie exactly, the earlier one wins.
+            column = chosen.predictor.name.removesuffix("_twin")
+            assert chosen.predictor.name == next(
+                p.name for p in predictors if p.name.removesuffix("_twin") == column
+            )
+
+    def test_the_incumbent_prunes_predictors_that_cannot_beat_it(self, merged):
+        # x decides the class; z0, z1 and z2 side with it in 6, 7 and 8 of
+        # every 10 records of each class: significant, but far weaker.
+        records = []
+        for i in range(200):
+            record = {"y": "uv"[i % 2], "x": "ab"[i % 2]}
+            for k, share in enumerate((6, 7, 8)):
+                record[f"z{k}"] = "pq"[i % 2 if (i // 2) % 10 < share else 1 - i % 2]
+            records.append(record)
+        predictors = [spec("pq", name=f"z{k}") for k in range(3)] + [spec("ab", name="x")]
+        node = coded(records, *(p.name for p in predictors))
+        params = GrowthParams()
+        candidate = best_split(node, predictors, params)
+        assert candidate.predictor.name == "x"
+        assert merged == ["x"]
+        for predictor in predictors[:3]:
+            bound = chaidkit.core._log_p_bound(build_contingency(node, predictor.name), predictor)
+            assert _key(candidate) + 1e-9 < bound <= math.log(params.alpha_split)
 
 
 def _candidate(group_sizes=(50, 50), raw_p=0.001, multiplier=2, adjusted_p=None):
