@@ -19,6 +19,8 @@ import csv
 import io
 import json
 import math
+import sys
+from array import array
 from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -453,10 +455,15 @@ def load_dataset(
     missing label for routing to deal with. Numeric cells that fail to
     parse, or parse to ``nan`` or an infinity, are always an error citing
     the data row and column.
+
+    The file is read in batches of :data:`BATCH_ROWS` rows, and faults are
+    reported as for the whole file at once.
     """
     with _open_csv(source, schema.delimiter) as (header, reader):
-        rows = list(map(tuple, reader))
-    return _label(header, rows, schema, require_target=require_target, keep_raw=keep_raw)
+        labeler = _Labeler(header, schema, require_target, keep_raw)
+        for rows in _read_batches(reader):
+            labeler.feed(rows)
+    return labeler.finish()
 
 
 def iter_batches(source: str | Path | io.TextIOBase, schema: DatasetSchema) -> Iterator[Dataset]:
@@ -467,99 +474,163 @@ def iter_batches(source: str | Path | io.TextIOBase, schema: DatasetSchema) -> I
     A first batch comes even from a header-only file.
     """
     with _open_csv(source, schema.delimiter) as (header, reader):
-        for start in count(1, BATCH_ROWS):
-            rows = list(map(tuple, islice(reader, BATCH_ROWS)))
-            yield _label(header, rows, schema, require_target=False, keep_raw=True, first_row=start)
-            if len(rows) < BATCH_ROWS:
-                return
+        for start, rows in zip(count(1, BATCH_ROWS), _read_batches(reader)):
+            labeler = _Labeler(header, schema, False, True, first_row=start)
+            labeler.feed(rows)
+            yield labeler.finish()
 
 
-def _label(
-    header: list[str],
-    rows: list[tuple[str, ...]],
-    schema: DatasetSchema,
-    *,
-    require_target: bool,
-    keep_raw: bool,
-    first_row: int = 1,
-) -> Dataset:
-    """:func:`load_dataset` after the reading, for data rows ``first_row`` onwards.
+def _read_batches(reader: Iterator[list[str]]) -> Iterator[list[tuple[str, ...]]]:
+    """The data rows in batches of :data:`BATCH_ROWS`; the last is shorter, perhaps empty."""
+    while True:
+        rows = list(map(tuple, islice(reader, BATCH_ROWS)))
+        yield rows
+        if len(rows) < BATCH_ROWS:
+            return
 
-    Each pass over a column runs in C; a scan in row order only words a fault.
+
+class _Labeler:
+    """Data rows ``first_row`` onwards, fed in batches, labeled under a schema.
+
+    :meth:`finish` gives the dataset of every row fed, or raises what one
+    batch of them all would: a row of the wrong width, a header fault, then
+    each column's faults in schema order, a cell that is no finite number
+    alone and the rest joined.
     """
-    width = len(header)
-    if set(map(len, rows)) - {width}:
-        number, row = next((n, row) for n, row in enumerate(rows, first_row) if len(row) != width)
-        raise DataError(f"row {number}: expected {width} fields, found {len(row)}")
-    index: dict[str, int] = {}
-    for position, name in enumerate(header):
-        if name in index:
-            raise DataError(f"duplicate column {name!r} in header")
-        index[name] = position
 
-    roles = ("predictor", "target") if require_target else ("predictor",)
-    parsed = [col for col in schema.columns if col.role in roles]
-    for col in parsed:
-        if col.name not in index:
-            raise DataError(f"missing required column {col.name!r}")
+    def __init__(
+        self, header: list[str], schema: DatasetSchema, require_target: bool, keep_raw: bool,
+        first_row: int = 1,
+    ) -> None:
+        self.header, self.schema, self.first_row = header, schema, first_row
+        self.raw: list[tuple[str, ...]] | None = [] if keep_raw else None
+        self.n_rows = 0
+        self.width_fault: DataError | None = None
+        self.header_fault: DataError | None = None
+        index: dict[str, int] = {}
+        for position, name in enumerate(header):
+            if name in index:
+                self.header_fault = DataError(f"duplicate column {name!r} in header")
+                break
+            index[name] = position
+        roles = ("predictor", "target") if require_target else ("predictor",)
+        parsed = [col for col in schema.columns if col.role in roles]
+        absent = [col.name for col in parsed if col.name not in index]
+        if absent and not self.header_fault:
+            self.header_fault = DataError(f"missing required column {absent[0]!r}")
+        self.columns = [] if self.header_fault else [
+            _Column(col, index[col.name], require_target) for col in parsed
+        ]
 
-    columns: dict[str, list[str]] = {}
-    boundaries: dict[str, tuple[float, ...]] = {}
-    missing_counts: dict[str, int] = {}
-    problems: list[str] = []
+    def feed(self, rows: list[tuple[str, ...]]) -> None:
+        """The next rows: each pass over a column runs in C; a scan in row order words a fault."""
+        first = self.first_row + self.n_rows
+        self.n_rows += len(rows)
+        if self.raw is not None:
+            self.raw += rows
+        width = len(self.header)
+        if self.width_fault is None and set(map(len, rows)) - {width}:
+            number, row = next((n, row) for n, row in enumerate(rows, first) if len(row) != width)
+            self.width_fault = DataError(f"row {number}: expected {width} fields, found {len(row)}")
+        if self.width_fault is None:
+            for column in self.columns:
+                column.feed(list(map(str.strip, map(itemgetter(column.position), rows))), first)
 
-    for col in parsed:
-        cells = list(map(str.strip, map(itemgetter(index[col.name]), rows)))
-        missing = missing_counts[col.name] = cells.count("")
-        if missing and not (
-            col.role == "predictor" and (not require_target or col.scale is Scale.FLOAT)
-        ):
-            shown = _first_few([str(n) for n, cell in enumerate(cells, first_row) if cell == ""])
-            problems.append(f"column {col.name!r}: missing value at row(s) {shown}")
-            continue
+    def finish(self) -> Dataset:
+        for fault in (self.width_fault, self.header_fault):
+            if fault is not None:
+                raise fault
+        problems = list(filter(None, map(_Column.problem, self.columns)))
+        if problems:
+            raise DataError("; ".join(problems))
+        boundaries: dict[str, tuple[float, ...]] = {}
+        return Dataset(
+            schema=self.schema,
+            columns={column.col.name: column.labels(boundaries) for column in self.columns},
+            n_rows=self.n_rows,
+            boundaries=boundaries,
+            missing_counts={column.col.name: column.missing for column in self.columns},
+            header=None if self.raw is None else tuple(self.header),
+            raw_rows=None if self.raw is None else tuple(self.raw),
+        )
+
+
+class _Column:
+    """One parsed column between batches: what labeling needs, and its faults so far.
+
+    A categorical column keeps its labels, one shared ``str`` per label. A
+    numeric column keeps its numbers in an array, a blank cell as +inf,
+    which no cell parses to, and is binned once every row is in.
+    """
+
+    def __init__(self, col: ColumnSpec, position: int, require_target: bool) -> None:
+        self.col, self.position = col, position
+        self.blank_ok = col.role == "predictor" and (not require_target or col.scale is Scale.FLOAT)
         # A float-scale predictor's blank cells are its floating category.
-        blank = col.float_category or MISSING_LABEL
+        self.blank = col.float_category or MISSING_LABEL
+        self.missing = self.undeclared = 0
+        self.blank_rows: list[str] = []  # the first few, where a blank cell is a fault
+        self.undeclared_cells: list[str] = []  # the first few
+        self.fault: DataError | None = None  # the first cell that is no finite number
+        self.values: array[float] | list[str] = array("d") if col.kind == "numeric" else []
+        self.shared = {"": self.blank}
+        self.declared: set[str] | None = None
+        if col.categories is not None and require_target:
+            # Blank cells become the floating category; it may be written too.
+            self.declared = {*col.categories, "", *filter(None, [col.float_category])}
 
-        if col.kind == "numeric":
-            values = _numbers(col.name, cells, first_row)
-            assert col.binning is not None
-            bounds = boundaries[col.name] = _compute_boundaries(values, col.binning)
-            bins = map(_bin_labels(bounds).__getitem__, map(partial(bisect_left, bounds), values))
+    def feed(self, cells: list[str], first_row: int) -> None:
+        missing = cells.count("")
+        self.missing += missing
+        if missing and not self.blank_ok:
+            blank = (str(n) for n, cell in enumerate(cells, first_row) if cell == "")
+            self.blank_rows += islice(blank, _MAX_REPORTED_ROWS - len(self.blank_rows))
+        if self.blank_rows or self.fault:
+            return  # the column fails already; only its blank count still matters
+        if self.col.kind == "numeric":
+            try:
+                numbers = _numbers(self.col.name, cells, first_row)
+            except DataError as exc:
+                self.fault = exc
+                return
             if missing:
-                columns[col.name] = [next(bins) if cell else blank for cell in cells]
-            else:
-                columns[col.name] = list(bins)
+                rest = iter(numbers)
+                numbers = [next(rest) if cell else math.inf for cell in cells]
+            self.values.extend(numbers)
+        elif self.declared is None or self.declared.issuperset(cells):
+            self.values += map(self.shared.setdefault, cells, cells)
         else:
-            declared = set(col.categories) if col.categories is not None else None
-            if declared is not None and require_target:
-                if col.float_category is not None:
-                    # Blank cells become the floating category; it may be written too.
-                    declared.add(col.float_category)
-                declared.add("")
-                if not declared.issuperset(cells):
-                    shown = _first_few(
-                        [
-                            f"{cell!r} at row {n}"
-                            for n, cell in enumerate(cells, first_row)
-                            if cell not in declared
-                        ]
-                    )
-                    problems.append(f"column {col.name!r}: undeclared category {shown}")
-                    continue
-            columns[col.name] = [cell or blank for cell in cells] if missing else cells
+            outside = [
+                f"{cell!r} at row {n}"
+                for n, cell in enumerate(cells, first_row)
+                if cell not in self.declared
+            ]
+            self.undeclared += len(outside)
+            self.undeclared_cells += outside[: _MAX_REPORTED_ROWS - len(self.undeclared_cells)]
 
-    if problems:
-        raise DataError("; ".join(problems))
+    def problem(self) -> str | None:
+        """The column's fault as text, or None; a cell that is no finite number is raised."""
+        if self.blank_rows:
+            shown = _first_few(self.blank_rows, self.missing)
+            return f"column {self.col.name!r}: missing value at row(s) {shown}"
+        if self.fault is not None:
+            raise self.fault
+        if self.undeclared:
+            shown = _first_few(self.undeclared_cells, self.undeclared)
+            return f"column {self.col.name!r}: undeclared category {shown}"
+        return None
 
-    return Dataset(
-        schema=schema,
-        columns=columns,
-        n_rows=len(rows),
-        boundaries=boundaries,
-        missing_counts=missing_counts,
-        header=tuple(header) if keep_raw else None,
-        raw_rows=tuple(rows) if keep_raw else None,
-    )
+    def labels(self, boundaries: dict[str, tuple[float, ...]]) -> list[str]:
+        """The column's labels in row order; a numeric column's cuts go into ``boundaries``."""
+        values, self.values = self.values, []
+        if self.col.kind != "numeric":
+            return values
+        numbers = list(filter(math.isfinite, values)) if self.missing else values
+        bounds = boundaries[self.col.name] = _compute_boundaries(numbers, self.col.binning)
+        # A last cut at the largest float puts every number below a blank cell's +inf.
+        cuts = (*bounds, sys.float_info.max)
+        names = _bin_labels(bounds) + [self.blank]
+        return list(map(names.__getitem__, map(partial(bisect_left, cuts), values)))
 
 
 def _numbers(name: str, cells: list[str], first_row: int) -> list[float]:
@@ -583,8 +654,8 @@ def _numbers(name: str, cells: list[str], first_row: int) -> list[float]:
     raise AssertionError("a cell failed to parse as a whole column but not alone")
 
 
-def _first_few(items: Sequence[str]) -> str:
-    """The first few items, comma-separated, with a count of the rest."""
+def _first_few(items: Sequence[str], total: int) -> str:
+    """The first few of ``total`` items, comma-separated, with a count of the rest."""
     shown = ", ".join(items[:_MAX_REPORTED_ROWS])
-    extra = len(items) - _MAX_REPORTED_ROWS
+    extra = total - _MAX_REPORTED_ROWS
     return f"{shown} (+{extra} more)" if extra > 0 else shown

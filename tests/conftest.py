@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
+from functools import partial
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 from scipy.integrate import quad
@@ -18,7 +21,9 @@ from chaidkit import (
     Tree,
     chi_square_test,
 )
-from chaidkit.core import CategoryPartition, StopReason
+from chaidkit.core import MISSING_LABEL, CategoryPartition, StopReason
+from chaidkit.errors import DataError
+from chaidkit.ingest import Dataset, _bin_labels, _compute_boundaries, _numbers, _open_csv
 from chaidkit.model import NodeSplit, TreeNode
 
 #: Largest original-category count the enumeration oracle will accept.
@@ -111,6 +116,71 @@ def _float_partitions(c: int, r: int):
     for runs in _compositions(c - 1, r):
         for attach_to in range(r):
             yield (runs, attach_to)
+
+
+def whole_file_load_dataset(source, schema, *, require_target=True, keep_raw=False) -> Dataset:
+    """``load_dataset`` as it was before it read in batches: every row, then one labeling pass.
+
+    A test-local copy of the whole-file loader, kept as the reference for
+    the streamed one: the same labels, cuts, counts and fault text.
+    """
+    with _open_csv(source, schema.delimiter) as (header, rows):
+        rows = list(map(tuple, rows))
+    width = len(header)
+    if set(map(len, rows)) - {width}:
+        number, row = next((n, row) for n, row in enumerate(rows, 1) if len(row) != width)
+        raise DataError(f"row {number}: expected {width} fields, found {len(row)}")
+    index: dict[str, int] = {}
+    for position, name in enumerate(header):
+        if name in index:
+            raise DataError(f"duplicate column {name!r} in header")
+        index[name] = position
+    roles = ("predictor", "target") if require_target else ("predictor",)
+    parsed = [col for col in schema.columns if col.role in roles]
+    for col in parsed:
+        if col.name not in index:
+            raise DataError(f"missing required column {col.name!r}")
+
+    def first_few(items):
+        shown = ", ".join(items[:5])
+        return f"{shown} (+{len(items) - 5} more)" if len(items) > 5 else shown
+
+    columns, boundaries, missing_counts, problems = {}, {}, {}, []
+    for col in parsed:
+        cells = list(map(str.strip, map(itemgetter(index[col.name]), rows)))
+        missing = missing_counts[col.name] = cells.count("")
+        if missing and not (
+            col.role == "predictor" and (not require_target or col.scale is Scale.FLOAT)
+        ):
+            shown = first_few([str(n) for n, cell in enumerate(cells, 1) if cell == ""])
+            problems.append(f"column {col.name!r}: missing value at row(s) {shown}")
+            continue
+        blank = col.float_category or MISSING_LABEL
+        if col.kind == "numeric":
+            values = _numbers(col.name, cells, 1)
+            bounds = boundaries[col.name] = _compute_boundaries(values, col.binning)
+            bins = map(_bin_labels(bounds).__getitem__, map(partial(bisect_left, bounds), values))
+            columns[col.name] = [next(bins) if cell else blank for cell in cells]
+            continue
+        declared = set(col.categories) if col.categories is not None else None
+        if declared is not None and require_target:
+            declared |= {"", *filter(None, [col.float_category])}
+            outside = [f"{cell!r} at row {n}" for n, cell in enumerate(cells, 1) if cell not in declared]
+            if outside:
+                problems.append(f"column {col.name!r}: undeclared category {first_few(outside)}")
+                continue
+        columns[col.name] = [cell or blank for cell in cells]
+    if problems:
+        raise DataError("; ".join(problems))
+    return Dataset(
+        schema=schema,
+        columns=columns,
+        n_rows=len(rows),
+        boundaries=boundaries,
+        missing_counts=missing_counts,
+        header=tuple(header) if keep_raw else None,
+        raw_rows=tuple(rows) if keep_raw else None,
+    )
 
 
 def merge_by_recomputing(

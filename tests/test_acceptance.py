@@ -12,6 +12,7 @@ import io
 import json
 import random
 import time
+import tracemalloc
 
 from chaidkit import (
     ChaidError,
@@ -29,6 +30,7 @@ from chaidkit import (
     save_model,
     train_tree,
 )
+from chaidkit import ingest
 from chaidkit.cli import main
 from chaidkit.ingest import BinningSpec, ColumnSpec, DatasetSchema
 from chaidkit.stats import ContingencyTable
@@ -411,3 +413,27 @@ def test_listings_model_bytes_are_pinned(tmp_path):
     digest = hashlib.sha256(model_path.read_bytes()).hexdigest()
     assert digest == LISTINGS_10K_MODEL_SHA256
     print(f"PASS model bytes: 10k listings model sha256 {digest[:8]}... as pinned")
+
+
+def test_train_memory_per_row_is_bounded(tmp_path, monkeypatch, capsys):
+    """`chaidkit train` holds a few label and code lists per row, not the rows' text."""
+    monkeypatch.setattr(ingest, "BATCH_ROWS", 250)
+
+    def peak_bytes(n):
+        _, schema_path, data_path = _write_listings(tmp_path, n)
+        argv = ["train", "--data", str(data_path), "--schema", str(schema_path)]
+        tracemalloc.start()
+        try:
+            assert main(argv + ["--model", str(tmp_path / "model.json")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak_bytes(1_000)  # first-call allocations land here, not in either figure
+    per_row = (peak_bytes(8_000) - peak_bytes(1_000)) / 7_000
+    # Holding every row's cell strings, as train once did, cost about 660
+    # bytes a row here; one shared string per category and an array per
+    # numeric column bring it to about 210.
+    assert per_row < 300
+    capsys.readouterr()
+    print(f"PASS train memory: {per_row:.0f} bytes of peak heap per extra row")

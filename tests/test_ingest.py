@@ -16,6 +16,7 @@ from chaidkit import DataError, DatasetSchema, Scale, load_dataset, load_schema
 from chaidkit.core import MISSING_LABEL
 from chaidkit import ingest
 from chaidkit.ingest import BinningSpec, ColumnSpec, iter_batches
+from conftest import whole_file_load_dataset
 
 
 def cat_col(name, role="predictor", **kw):
@@ -528,6 +529,146 @@ class TestIterBatches:
         assert [batch.n_rows for batch in (next(batches), next(batches))] == [2, 2]
         with pytest.raises(DataError, match="^row 5: column 'n': cannot parse 'oops'"):
             next(batches)
+
+
+#: Cells of a numeric and of a categorical column: clean ones, then blanks and faults.
+NUMBER_CELLS = ("1", " 2.5", "-3", "0", "7", "1e3", "", "x", "nan", "-inf")
+LABEL_CELLS = ("a", "b", " c", "a", "", "d", "e")
+
+
+@st.composite
+def loader_inputs(draw):
+    """A schema, CSV text over its columns, load options and a batch size.
+
+    Cells may be blank, unparsable or non-finite; a row may be ragged or
+    unreadable; the header may lack a parsed column or repeat one.
+    """
+    n_predictors = draw(st.integers(1, 3))
+    columns = []
+    for j in range(n_predictors + 1):
+        role = "target" if j == n_predictors else "predictor"
+        scale = None if role == "target" else draw(st.sampled_from(list(Scale)))
+        float_category = draw(st.sampled_from([None, "z"])) if scale is Scale.FLOAT else None
+        if draw(st.booleans()):
+            strategy = draw(st.sampled_from(["equal_frequency", "equal_width", "explicit_boundaries"]))
+            if strategy == "explicit_boundaries":
+                binning = BinningSpec(strategy, boundaries=draw(st.sampled_from([(), (0.0, 2.0)])))
+            else:
+                binning = BinningSpec(strategy, bin_count=draw(st.integers(2, 4)))
+            columns.append(ColumnSpec(f"n{j}", role, "numeric", scale, binning, None, float_category))
+        else:
+            declared = draw(st.sampled_from([None, ("a", "b"), ("b", "a", "c")]))
+            columns.append(ColumnSpec(f"c{j}", role, "categorical", scale, None, declared, float_category))
+    columns.insert(draw(st.integers(0, len(columns))), cat_col("skip", role="ignored"))
+    schema = make_schema(*draw(st.permutations(columns)))
+    names = draw(st.permutations([col.name for col in schema.columns]))
+    fault = draw(st.sampled_from([None] * 4 + ["drop", "repeat"]))
+    if fault == "drop":
+        names = names[1:]
+    elif fault == "repeat":
+        names = names + names[:1]
+    # A clean column draws only from the first cells of its pool.
+    pools = {
+        col.name: (NUMBER_CELLS if col.kind == "numeric" else LABEL_CELLS)[
+            : None if draw(st.booleans()) else 6 if col.kind == "numeric" else 4
+        ]
+        for col in schema.columns
+    }
+    rows = [[draw(st.sampled_from(pools[name])) for name in names] for _ in range(draw(st.integers(0, 16)))]
+    if rows and draw(st.integers(0, 3)) == 0:
+        ragged = draw(st.sampled_from(rows))
+        ragged[len(ragged) - 1 :] = draw(st.sampled_from([[], ["a", "a"]]))
+    if rows and draw(st.integers(0, 7)) == 0:
+        draw(st.sampled_from(rows))[0] = "a\rb"  # the CSV reader fails here
+    text = ",".join(names) + "\n" + "".join(",".join(row) + "\n" for row in rows)
+    return schema, text, draw(st.booleans()), draw(st.booleans()), draw(st.integers(1, 4))
+
+
+def load_outcome(load, text, schema, require_target, keep_raw):
+    """What loading gives: the fault text, or every field of the dataset, dict orders included."""
+    try:
+        dataset = load(io.StringIO(text), schema, require_target=require_target, keep_raw=keep_raw)
+    except DataError as exc:
+        return str(exc)
+    return (
+        list(dataset.columns.items()),
+        list(dataset.boundaries.items()),
+        list(dataset.missing_counts.items()),
+        dataset.n_rows,
+        dataset.header,
+        dataset.raw_rows,
+    )
+
+
+class TestStreamedLoad:
+    """Loading in batches gives what loading the whole file at once gave, faults included."""
+
+    TARGET_FIRST = make_schema(
+        cat_col("y", role="target"),
+        cat_col("x", categories=("a", "b")),
+        num_col("n", bins=2),
+    )
+
+    def check(self, schema, text, require_target, keep_raw, size):
+        whole = load_outcome(whole_file_load_dataset, text, schema, require_target, keep_raw)
+        with mock.patch.object(ingest, "BATCH_ROWS", size):
+            streamed = load_outcome(load_dataset, text, schema, require_target, keep_raw)
+        assert streamed == whole
+        return streamed
+
+    @settings(max_examples=400, deadline=None)
+    @given(loader_inputs())
+    def test_batches_give_the_whole_file_load(self, inputs):
+        self.check(*inputs)
+
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            # A ragged row in the third batch outranks a cell fault in the first.
+            (["u,a,x", "u,a,1", "u,a,2", "u,a,3", "u,a"], "row 5: expected 3 fields, found 2"),
+            # A number that fails in a later batch hides the blank target before it.
+            ([",a,1", "u,a,2", "u,a,3", "u,a,x"], "row 4: column 'n': cannot parse 'x' as a number"),
+            (["u,a,1", "u,a,inf"], "row 2: column 'n': 'inf' is not a finite number"),
+            (["u,a,nan", "u,a,1", "u,a,-inf"], "row 1: column 'n': 'nan' is not a finite number"),
+            # The first five undeclared cells, and the count of the rest, span the batches.
+            (
+                [f"u,{x},1" for x in "qabrstuva"],
+                "column 'x': undeclared category 'q' at row 1, 'r' at row 4, 's' at row 5, "
+                "'t' at row 6, 'u' at row 7 (+1 more)",
+            ),
+            # A blank cell in a later batch outranks the column's undeclared cells.
+            (["u,q,1", "u,a,2", "u,,3"], "column 'x': missing value at row(s) 3"),
+            (
+                [",a,1", "u,a,2"] + [",a,1"] * 6,
+                "column 'y': missing value at row(s) 1, 3, 4, 5, 6 (+2 more)",
+            ),
+        ],
+        ids=[
+            "ragged-after-cell",
+            "number-after-blank-target",
+            "inf",
+            "nan",
+            "undeclared",
+            "blank",
+            "blanks",
+        ],
+    )
+    def test_faults_in_different_batches(self, rows, message):
+        text = "y,x,n\n" + "".join(f"{row}\n" for row in rows)
+        assert self.check(self.TARGET_FIRST, text, True, False, 2) == message
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("y,x,x\n" + "u,a,a\n" * 3 + "u,a\n", "row 4: expected 3 fields, found 2"),
+            ("y,n\n" + "u,1\n" * 3 + "u\n", "row 4: expected 2 fields, found 1"),
+            ("y,x,x\n" + "u,a,a\n" * 4, "duplicate column 'x' in header"),
+            ("y,n\n" + "u,1\n" * 3 + ",x\n", "missing required column 'x'"),
+        ],
+        ids=["ragged-after-duplicate", "ragged-after-missing", "duplicate", "missing"],
+    )
+    def test_a_ragged_row_anywhere_outranks_the_header(self, text, message):
+        assert self.check(self.TARGET_FIRST, text, True, False, 1) == message
 
 
 class TestDatasetDerived:
