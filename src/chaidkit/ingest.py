@@ -596,7 +596,7 @@ class _Column:
             if missing:
                 rest = iter(numbers)
                 numbers = [next(rest) if cell else math.inf for cell in cells]
-            self.values.extend(numbers)
+            self.values.fromlist(numbers)
         elif self.declared is None or self.declared.issuperset(cells):
             self.values += map(self.shared.setdefault, cells, cells)
         else:
