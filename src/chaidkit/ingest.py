@@ -28,7 +28,7 @@ from functools import partial
 from itertools import count, islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import MISSING_LABEL, PredictorSpec
 from .errors import DataError, _doc, _number, _text
@@ -120,7 +120,7 @@ class BinningSpec:
 
 
 def _compute_boundaries(values: Sequence[float], spec: BinningSpec) -> tuple[float, ...]:
-    """A column's realized cut points: replayed as explicit boundaries, they give the same labels.
+    """Equal-frequency or equal-width cuts; replayed as explicit cuts, they give the same labels.
 
     Equal-frequency cuts sit on observed values, and ties go to the lower
     bin, so tied values never straddle two bins. Cuts that repeat or reach
@@ -128,9 +128,6 @@ def _compute_boundaries(values: Sequence[float], spec: BinningSpec) -> tuple[flo
     Equal-width otherwise keeps its grid even where interior bins are
     empty, so labels can be sparse.
     """
-    if spec.strategy == "explicit_boundaries":
-        assert spec.boundaries is not None
-        return spec.boundaries
     if not values:
         return ()
     ordered = sorted(values)
@@ -519,7 +516,7 @@ class _Labeler:
         if absent and not self.header_fault:
             self.header_fault = DataError(f"missing required column {absent[0]!r}")
         self.columns = [] if self.header_fault else [
-            _Column(col, index[col.name], require_target) for col in parsed
+            _Column(col, index[col.name], require_target, keep_raw) for col in parsed
         ]
 
     def feed(self, rows: list[tuple[str, ...]]) -> None:
@@ -558,12 +555,15 @@ class _Labeler:
 class _Column:
     """One parsed column between batches: what labeling needs, and its faults so far.
 
-    A categorical column keeps its labels, one shared ``str`` per label. A
-    numeric column keeps its numbers in an array, a blank cell as +inf,
-    which no cell parses to, and is binned once every row is in.
+    A categorical column keeps its labels, one shared ``str`` per label
+    unless the raw rows are kept. A numeric column with explicit cuts keeps
+    its labels; any other keeps its numbers in an array, a blank cell as
+    +inf, which no cell parses to, and is binned once every row is in.
     """
 
-    def __init__(self, col: ColumnSpec, position: int, require_target: bool) -> None:
+    def __init__(
+        self, col: ColumnSpec, position: int, require_target: bool, keep_raw: bool
+    ) -> None:
         self.col, self.position = col, position
         self.blank_ok = col.role == "predictor" and (not require_target or col.scale is Scale.FLOAT)
         # A float-scale predictor's blank cells are its floating category.
@@ -572,8 +572,13 @@ class _Column:
         self.blank_rows: list[str] = []  # the first few, where a blank cell is a fault
         self.undeclared_cells: list[str] = []  # the first few
         self.fault: DataError | None = None  # the first cell that is no finite number
-        self.values: array[float] | list[str] = array("d") if col.kind == "numeric" else []
-        self.shared = {"": self.blank}
+        self.bounds: tuple[float, ...] | None = None
+        if col.binning is not None and col.binning.boundaries is not None:
+            self.cut(col.binning.boundaries)
+        numbers_kept = col.kind == "numeric" and self.bounds is None
+        self.values: array[float] | list[str] = array("d") if numbers_kept else []
+        # Kept raw rows hold every cell's string anyway; sharing would free nothing.
+        self.shared = None if keep_raw else {"": self.blank}
         self.declared: set[str] | None = None
         if col.categories is not None and require_target:
             # Blank cells become the floating category; it may be written too.
@@ -596,9 +601,15 @@ class _Column:
             if missing:
                 rest = iter(numbers)
                 numbers = [next(rest) if cell else math.inf for cell in cells]
-            self.values.fromlist(numbers)
+            if self.bounds is None:
+                self.values.fromlist(numbers)
+            else:
+                self.values += self.bins(numbers)
         elif self.declared is None or self.declared.issuperset(cells):
-            self.values += map(self.shared.setdefault, cells, cells)
+            if self.shared is None:
+                self.values += [cell or self.blank for cell in cells] if missing else cells
+            else:
+                self.values += map(self.shared.setdefault, cells, cells)
         else:
             outside = [
                 f"{cell!r} at row {n}"
@@ -625,12 +636,23 @@ class _Column:
         values, self.values = self.values, []
         if self.col.kind != "numeric":
             return values
-        numbers = list(filter(math.isfinite, values)) if self.missing else values
-        bounds = boundaries[self.col.name] = _compute_boundaries(numbers, self.col.binning)
+        if self.bounds is None:
+            numbers = list(filter(math.isfinite, values)) if self.missing else values
+            self.cut(_compute_boundaries(numbers, self.col.binning))
+            values = list(self.bins(values))
+        boundaries[self.col.name] = self.bounds
+        return values
+
+    def cut(self, bounds: tuple[float, ...]) -> None:
+        """Bin by ``bounds`` from now on."""
+        self.bounds = bounds
         # A last cut at the largest float puts every number below a blank cell's +inf.
-        cuts = (*bounds, sys.float_info.max)
-        names = _bin_labels(bounds) + [self.blank]
-        return list(map(names.__getitem__, map(partial(bisect_left, cuts), values)))
+        self.cuts = (*bounds, sys.float_info.max)
+        self.names = _bin_labels(bounds) + [self.blank]
+
+    def bins(self, numbers: Iterable[float]) -> Iterator[str]:
+        """The bin labels of ``numbers``; +inf, a blank cell, gets the blank label."""
+        return map(self.names.__getitem__, map(partial(bisect_left, self.cuts), numbers))
 
 
 def _numbers(name: str, cells: list[str], first_row: int) -> list[float]:

@@ -158,14 +158,19 @@ def whole_file_load_dataset(source, schema, *, require_target=True, keep_raw=Fal
         blank = col.float_category or MISSING_LABEL
         if col.kind == "numeric":
             values = _numbers(col.name, cells, 1)
-            bounds = boundaries[col.name] = _compute_boundaries(values, col.binning)
+            bounds = col.binning.boundaries
+            if col.binning.strategy != "explicit_boundaries":
+                bounds = _compute_boundaries(values, col.binning)
+            boundaries[col.name] = bounds
             bins = map(_bin_labels(bounds).__getitem__, map(partial(bisect_left, bounds), values))
             columns[col.name] = [next(bins) if cell else blank for cell in cells]
             continue
         declared = set(col.categories) if col.categories is not None else None
         if declared is not None and require_target:
             declared |= {"", *filter(None, [col.float_category])}
-            outside = [f"{cell!r} at row {n}" for n, cell in enumerate(cells, 1) if cell not in declared]
+            outside = [
+                f"{cell!r} at row {n}" for n, cell in enumerate(cells, 1) if cell not in declared
+            ]
             if outside:
                 problems.append(f"column {col.name!r}: undeclared category {first_few(outside)}")
                 continue
