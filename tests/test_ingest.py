@@ -550,15 +550,16 @@ def loader_inputs(draw):
         scale = None if role == "target" else draw(st.sampled_from(list(Scale)))
         float_category = draw(st.sampled_from([None, "z"])) if scale is Scale.FLOAT else None
         if draw(st.booleans()):
-            strategy = draw(st.sampled_from(["equal_frequency", "equal_width", "explicit_boundaries"]))
+            strategy = draw(st.sampled_from(ingest._STRATEGIES))
             if strategy == "explicit_boundaries":
                 binning = BinningSpec(strategy, boundaries=draw(st.sampled_from([(), (0.0, 2.0)])))
             else:
                 binning = BinningSpec(strategy, bin_count=draw(st.integers(2, 4)))
-            columns.append(ColumnSpec(f"n{j}", role, "numeric", scale, binning, None, float_category))
+            column = ColumnSpec(f"n{j}", role, "numeric", scale, binning, None, float_category)
         else:
             declared = draw(st.sampled_from([None, ("a", "b"), ("b", "a", "c")]))
-            columns.append(ColumnSpec(f"c{j}", role, "categorical", scale, None, declared, float_category))
+            column = ColumnSpec(f"c{j}", role, "categorical", scale, None, declared, float_category)
+        columns.append(column)
     columns.insert(draw(st.integers(0, len(columns))), cat_col("skip", role="ignored"))
     schema = make_schema(*draw(st.permutations(columns)))
     names = draw(st.permutations([col.name for col in schema.columns]))
@@ -574,7 +575,8 @@ def loader_inputs(draw):
         ]
         for col in schema.columns
     }
-    rows = [[draw(st.sampled_from(pools[name])) for name in names] for _ in range(draw(st.integers(0, 16)))]
+    n_rows = draw(st.integers(0, 16))
+    rows = [[draw(st.sampled_from(pools[name])) for name in names] for _ in range(n_rows)]
     if rows and draw(st.integers(0, 3)) == 0:
         ragged = draw(st.sampled_from(rows))
         ragged[len(ragged) - 1 :] = draw(st.sampled_from([[], ["a", "a"]]))
@@ -627,7 +629,10 @@ class TestStreamedLoad:
             # A ragged row in the third batch outranks a cell fault in the first.
             (["u,a,x", "u,a,1", "u,a,2", "u,a,3", "u,a"], "row 5: expected 3 fields, found 2"),
             # A number that fails in a later batch hides the blank target before it.
-            ([",a,1", "u,a,2", "u,a,3", "u,a,x"], "row 4: column 'n': cannot parse 'x' as a number"),
+            (
+                [",a,1", "u,a,2", "u,a,3", "u,a,x"],
+                "row 4: column 'n': cannot parse 'x' as a number",
+            ),
             (["u,a,1", "u,a,inf"], "row 2: column 'n': 'inf' is not a finite number"),
             (["u,a,nan", "u,a,1", "u,a,-inf"], "row 1: column 'n': 'nan' is not a finite number"),
             # The first five undeclared cells, and the count of the rest, span the batches.
