@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Collection, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ChaidError
 from .stats import (
@@ -201,14 +201,16 @@ def _pair_p_value(row_a: Sequence[int], row_b: Sequence[int]) -> float:
     return chi_square_p_value(pearson_statistic((obs_a, obs_b)), len(obs_a) - 1)
 
 
-def _node_scale(predictor: PredictorSpec, observed: Collection[str]) -> Scale:
-    """The predictor's scale at a node with categories ``observed``.
+def _node_scale(table: ContingencyTable, predictor: PredictorSpec) -> Scale:
+    """The predictor's scale for the multiplier at a node counted as ``table``.
 
     A float-scale predictor whose floating category never occurred at the
-    node sees a purely ordered predictor, so it is treated as monotonic by
-    both the merge loop and the multiplier.
+    node sees a purely ordered predictor, so its multiplier is the
+    monotonic one. Merging needs no demotion: a floating category with no
+    row has no group to pair with, so the float and monotonic rules merge
+    alike.
     """
-    if predictor.scale is Scale.FLOAT and predictor.float_category not in observed:
+    if predictor.scale is Scale.FLOAT and (predictor.float_category,) not in table.row_labels:
         return Scale.MONOTONIC
     return predictor.scale
 
@@ -246,8 +248,7 @@ def merge_categories(
             )
     rows = sorted(zip(table.row_labels, table.counts), key=lambda row: rank[row[0][0]])
     observed = [cat for (cat,), _ in rows]
-    scale = _node_scale(predictor, observed)
-    floating = predictor.float_category if scale is Scale.FLOAT else None
+    free, floating = predictor.scale is Scale.FREE, predictor.float_category
 
     # A group is keyed by its first index into ``observed``; group b always
     # folds into group a < b, so keys keep group order. It carries its
@@ -264,7 +265,7 @@ def merge_categories(
     def test(pairs: Iterable[tuple[int, int]]) -> None:
         for a, b in pairs:
             s, t = spans.get(a), spans.get(b)
-            if scale is Scale.FREE or not s or not t or s[1] + 1 == t[0] or t[1] + 1 == s[0]:
+            if free or not s or not t or s[1] + 1 == t[0] or t[1] + 1 == s[0]:
                 p[a, b] = _pair_p_value(counts[a], counts[b])
 
     if len(members) > 2:
@@ -308,7 +309,7 @@ def _score(table: ContingencyTable, predictor: PredictorSpec, alpha_merge: float
     partition = merge_categories(table, predictor, alpha_merge)
     merged = table.merge_rows(partition.groups)
     result = chi_square_test(merged)
-    scale = _node_scale(predictor, partition.all_categories())
+    scale = _node_scale(table, predictor)
     multiplier = bonferroni_multiplier(scale, table.n_rows, len(partition.groups))
     return SplitCandidate(
         predictor=predictor,
@@ -336,7 +337,7 @@ def _log_p_bound(table: ContingencyTable, predictor: PredictorSpec) -> float:
     by Cauchy-Schwarz, nor changes the columns, and the tail rises with df.
     """
     statistic = pearson_statistic(table.counts)
-    scale = _node_scale(predictor, [cat for (cat,) in table.row_labels])
+    scale = _node_scale(table, predictor)
     c, extra = table.n_rows, table.n_cols - 1
     # At r = c the multiplier is 1, so the bound is at most 0, as the key it bounds is.
     return min(
@@ -376,9 +377,8 @@ def best_split(
         if bound > cut + 1e-9:  # the bound's rounding margin
             break
         candidate = _score(table, predictor, params.alpha_merge)
-        scale = _node_scale(predictor, candidate.partition.all_categories())
-        log_multiplier = _log_multipliers(scale, table.n_rows)[len(candidate.partition.groups) - 2]
-        key = (min(0.0, log_multiplier + candidate.log_raw_p), candidate.log_raw_p, position)
+        log_p = min(0.0, math.log(candidate.multiplier) + candidate.log_raw_p)
+        key = (log_p, candidate.log_raw_p, position)
         if rank is None or key < rank:
             best, rank, cut = candidate, key, min(cut, key[0])
     if best is None or best.adjusted_p > params.alpha_split:

@@ -291,12 +291,7 @@ class DatasetSchema:
         return tuple(col for col in self.columns if col.role == "predictor")
 
     def to_doc(self) -> dict:
-        return {
-            "format": SCHEMA_FORMAT,
-            "format_version": SCHEMA_FORMAT_VERSION,
-            "delimiter": self.delimiter,
-            "columns": [col.to_doc() for col in self.columns],
-        }
+        return {"format": SCHEMA_FORMAT, "format_version": SCHEMA_FORMAT_VERSION, **_doc(self)}
 
     @classmethod
     def from_doc(cls, doc: object) -> "DatasetSchema":
@@ -573,11 +568,14 @@ class _Column:
         self.undeclared_cells: list[str] = []  # the first few
         self.fault: DataError | None = None  # the first cell that is no finite number
         self.bounds: tuple[float, ...] | None = None
+        # Cuts known up front bin as fed: no array of numbers is kept, and a
+        # prediction pass is faster than one that bins after the last batch.
         if col.binning is not None and col.binning.boundaries is not None:
             self.cut(col.binning.boundaries)
         numbers_kept = col.kind == "numeric" and self.bounds is None
         self.values: array[float] | list[str] = array("d") if numbers_kept else []
-        # Kept raw rows hold every cell's string anyway; sharing would free nothing.
+        # Kept raw rows hold every cell's string anyway: sharing would free nothing
+        # and cost a dict lookup per cell, about a tenth of a prediction pass.
         self.shared = None if keep_raw else {"": self.blank}
         self.declared: set[str] | None = None
         if col.categories is not None and require_target:

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from chaidkit import Scale, Tree, load_model, save_model
 from chaidkit import ingest
-from chaidkit.cli import build_parser, main
+from chaidkit.cli import build_parser, entrypoint, main
 from chaidkit.core import CategoryPartition, GrowthParams, StopReason
 from chaidkit.grow import train_tree
 from chaidkit.ingest import MISSING_LABEL, BinningSpec, ColumnSpec, DatasetSchema, load_dataset
@@ -882,6 +882,38 @@ class TestInspect:
         assert len(err) == 1
         assert err[0].startswith("error: malformed model document")
 
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (
+                lambda d: d["nodes"][0]["split"].update(groups=[]),
+                "malformed model document: partition has no groups",
+            ),
+            (
+                lambda d: (
+                    d["nodes"][0]["children"].append(999),
+                    d["nodes"][0]["split"]["groups"].append(["99"]),
+                ),
+                "node 0 references a missing child 999",
+            ),
+            (
+                lambda d: (
+                    d["nodes"][1]["children"].append(2),
+                    d["nodes"][1]["split"]["groups"].append(["99"]),
+                ),
+                "node 2 does not acknowledge 1 as its parent",
+            ),
+        ],
+        ids=["no_groups", "missing_child", "second_parent"],
+    )
+    def test_inconsistent_tree_is_one_error_line(self, tmp_path, capsys, mutate, message):
+        doc = sales_fixture_tree().to_document()
+        mutate(doc)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["inspect", "--model", str(model)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
     def test_non_mapping_class_counts_is_one_error_line(self, tmp_path, capsys):
         doc = sales_fixture_tree().to_document()
         doc["nodes"][3]["class_counts"] = []
@@ -1050,6 +1082,16 @@ class TestParsing:
         with pytest.raises(SystemExit) as excinfo:
             main([])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("status", [0, 1], ids=["ok", "error"])
+    def test_entrypoint_exits_with_the_command_status(self, tmp_path, monkeypatch, status):
+        model = tmp_path / "model.json"
+        if status == 0:
+            save_model(sales_fixture_tree(), model)
+        monkeypatch.setattr(sys, "argv", ["chaidkit", "inspect", "--model", str(model)])
+        with pytest.raises(SystemExit) as excinfo:
+            entrypoint()
+        assert excinfo.value.code == status
 
     def test_module_runner(self, tmp_path, perfect):
         model, _ = setup_model(tmp_path, perfect)

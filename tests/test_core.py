@@ -10,7 +10,7 @@ from unittest import mock
 
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import chaidkit.core
@@ -144,20 +144,22 @@ class TestMergeCategories:
         ordered = merge_categories(counted(records), spec(cats, Scale.MONOTONIC), 0.05)
         assert ordered.groups == (("o1", "o2"), ("o3",), ("<missing>",))
 
-    def test_unobserved_float_category_behaves_monotonic(self):
-        counts = {
-            ("o1", "u"): 40, ("o1", "v"): 10,
-            ("o2", "u"): 5, ("o2", "v"): 45,
-            ("o3", "u"): 40, ("o3", "v"): 10,
-        }
-        records = records_from_counts(counts)
-        partition = merge_categories(
-            counted(records),
-            spec(["o1", "o2", "o3", "<missing>"], Scale.FLOAT, float_category="<missing>"),
-            0.05,
-        )
-        # Without the floating category on site, o1 and o3 stay apart.
-        assert partition.groups == (("o1",), ("o2",), ("o3",))
+    @given(
+        st.lists(st.lists(st.integers(0, 60), min_size=3, max_size=3), min_size=1, max_size=8),
+        st.floats(0.001, 0.999),
+    )
+    @example([[40, 10, 0], [5, 45, 0], [40, 10, 0]], 0.05)
+    @settings(max_examples=200, deadline=None)
+    def test_unobserved_float_category_merges_as_monotonic(self, grid, alpha_merge):
+        # A floating category with no row at the node has no group to pair
+        # with, so merging needs no demotion to the monotonic scale.
+        assume(any(map(any, grid)))
+        cats = [f"o{i}" for i in range(len(grid))] + ["<missing>"]
+        table = ContingencyTable.from_counts(cats, ["u", "v", "w"], [*grid, [0, 0, 0]])
+        floated = spec(cats, Scale.FLOAT, float_category="<missing>")
+        ordered = spec(cats, Scale.MONOTONIC)
+        partition = merge_categories(table, floated, alpha_merge)
+        assert partition == merge_categories(table, ordered, alpha_merge)
 
     def test_empty_node(self):
         with pytest.raises(ChaidError, match="empty node"):
@@ -588,6 +590,23 @@ def _candidate(group_sizes=(50, 50), raw_p=0.001, multiplier=2, adjusted_p=None)
         adjusted_p=min(1.0, multiplier * raw_p) if adjusted_p is None else adjusted_p,
         group_sizes=tuple(group_sizes),
     )
+
+
+@pytest.mark.parametrize(
+    "candidate, message",
+    [
+        (lambda: _candidate(group_sizes=(100,)), "split candidate must have at least two groups"),
+        (
+            lambda: dataclasses.replace(_candidate(), group_sizes=(100,)),
+            "group sizes do not match partition groups",
+        ),
+        (lambda: _candidate(multiplier=0), "multiplier must be at least 1"),
+    ],
+    ids=["one_group", "sizes_mismatch", "zero_multiplier"],
+)
+def test_split_candidate_refusals(candidate, message):
+    with pytest.raises(ChaidError, match=message):
+        candidate()
 
 
 class TestAdjustedP:

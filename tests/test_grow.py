@@ -202,6 +202,18 @@ class TestGrowValidation:
         with pytest.raises(ChaidError, match="not in declared class order"):
             grow_tree(records, [pred], "y", GrowthParams(), class_order=["u", "v"])
 
+    def test_duplicate_class_in_class_order_rejected(self):
+        pred = PredictorSpec("x", Scale.FREE, ("a", "b"), None)
+        records = [{"x": "a", "y": "u"}, {"x": "b", "y": "u"}]
+        with pytest.raises(ChaidError, match="duplicate class in class order"):
+            grow_tree(records, [pred], "y", GrowthParams(), class_order=["u", "u"])
+
+    def test_undeclared_category_rejected(self):
+        pred = PredictorSpec("x", Scale.FREE, ("a", "b"), None)
+        records = [{"x": "a", "y": "u"}, {"x": "c", "y": "v"}]
+        with pytest.raises(ChaidError, match="category 'c' is not declared for predictor 'x'"):
+            grow_tree(records, [pred], "y", GrowthParams())
+
     def test_tiny_dataset_is_single_node(self):
         pred = PredictorSpec("x", Scale.FREE, ("a", "b"), None)
         records = [

@@ -296,6 +296,10 @@ class TestDatasetSchema:
                 cat_col("x"), cat_col("y", role="target"), cat_col("z", role="target")
             )
 
+    def test_no_columns(self):
+        with pytest.raises(DataError, match="schema declares no columns"):
+            DatasetSchema(())
+
     def test_duplicate_names(self):
         with pytest.raises(DataError, match="duplicate column name"):
             make_schema(cat_col("x"), cat_col("x"), cat_col("y", role="target"))
@@ -311,7 +315,14 @@ class TestDatasetSchema:
             cat_col("y", role="target"),
             delimiter=";",
         )
-        assert DatasetSchema.from_doc(schema.to_doc()) == schema
+        doc = schema.to_doc()
+        assert doc == {
+            "format": ingest.SCHEMA_FORMAT,
+            "format_version": ingest.SCHEMA_FORMAT_VERSION,
+            "delimiter": ";",
+            "columns": [col.to_doc() for col in schema.columns],
+        }
+        assert DatasetSchema.from_doc(doc) == schema
 
     def test_from_doc_format_tag(self):
         with pytest.raises(DataError, match="unrecognized format tag"):

@@ -22,7 +22,7 @@ from chaidkit import (
     chi_square_p_value,
     chi_square_test,
 )
-from chaidkit.stats import chi_square_log_p_value
+from chaidkit.stats import ChiSquareResult, chi_square_log_p_value
 from conftest import (
     chi2_upper_tail_by_integration,
     coded,
@@ -144,6 +144,11 @@ class TestContingency:
         with pytest.raises(ChaidError, match="value outside partition"):
             build_contingency(coded(records, "x"), "x").merge_rows([("A", "B")])
 
+    def test_merged_row_spanning_two_groups(self):
+        table = ContingencyTable.from_counts([("a", "b"), ("c",)], ["u", "v"], [[3, 1], [1, 3]])
+        with pytest.raises(ChaidError, match=r"row \('a', 'b'\) spans two partition groups"):
+            table.merge_rows([("a",), ("b", "c")])
+
     def test_undeclared_class_with_explicit_order(self):
         records = records_from_counts({("A", "u"): 1})
         with pytest.raises(ChaidError, match="not in declared class order"):
@@ -157,6 +162,24 @@ class TestContingency:
             ContingencyTable.from_counts(["a", "b"], ["u", "v"], counts)
         with pytest.raises(ChaidError, match="column dimension does not match"):
             ContingencyTable((("a",), ("b",)), ("u", "v"), tuple(map(tuple, counts)))
+
+    @pytest.mark.parametrize(
+        "row_labels, counts, message",
+        [
+            ((("a",),), ((1, 2), (3, 4)), "counts row dimension does not match row labels"),
+            ((("a",), ("b",)), ((1, 2), (0, 0)), r"all-zero row \('b',\)"),
+            ((("a",), ("b",)), ((1, 0), (2, 0)), "all-zero column 'v'"),
+        ],
+        ids=["row_dimension", "zero_row", "zero_column"],
+    )
+    def test_constructor_refusals(self, row_labels, counts, message):
+        with pytest.raises(ChaidError, match=message):
+            ContingencyTable(row_labels, ("u", "v"), counts)
+
+    def test_a_table_of_zeros_is_refused_as_empty(self):
+        # from_counts drops every line, and the constructor refuses what is left.
+        with pytest.raises(ChaidError, match="empty table"):
+            ContingencyTable.from_counts(["a", "b"], ["u", "v"], [[0, 0], [0, 0]])
 
     def test_zero_rows_and_columns_dropped(self):
         table = ContingencyTable.from_counts(
@@ -305,6 +328,20 @@ class TestTailProbability:
             chi_square_p_value(result.statistic, result.degrees_of_freedom)
         )
         assert result.log_p == pytest.approx(math.log(result.p_value))
+
+    @pytest.mark.parametrize(
+        "statistic, df, p_value, log_p, message",
+        [
+            (-1.0, 1, 1.0, 0.0, "negative chi-squared statistic"),
+            (1.0, 0, 0.5, math.log(0.5), "degrees of freedom must be positive"),
+            (1.0, 1, 1.5, 0.0, r"p-value outside \[0, 1\]"),
+            (1.0, 1, 0.5, 0.1, "log p-value above 0"),
+        ],
+        ids=["negative_statistic", "zero_df", "p_above_one", "log_p_above_zero"],
+    )
+    def test_result_refusals(self, statistic, df, p_value, log_p, message):
+        with pytest.raises(ChaidError, match=message):
+            ChiSquareResult(statistic, df, p_value, log_p)
 
     def test_log_p_stays_finite_where_p_underflows(self):
         result = chi_square_test(_table([[9000, 1000], [1000, 9000]]))
