@@ -10,7 +10,9 @@ stop rules in a fixed order.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -330,20 +332,57 @@ def _log_multipliers(scale: Scale, c: int) -> tuple[float, ...]:
     return tuple(math.log(bonferroni_multiplier(scale, c, r)) for r in range(2, c + 1))
 
 
-def _log_p_bound(table: ContingencyTable, predictor: PredictorSpec) -> float:
-    """The least log adjusted p-value any merge of ``table``'s rows can score.
+def _statistic_caps(table: ContingencyTable, statistic: float) -> list[float]:
+    """Caps on the Pearson statistic of ``table``'s rows merged into r = 2, ..., J - 1 groups.
 
-    Merging rows never raises Pearson's statistic, (a+b)^2/(r_a+r_b) <= a^2/r_a + b^2/r_b
-    by Cauchy-Schwarz, nor changes the columns, and the tail rises with df.
+    ``statistic`` is the table's X². The cap at r is ``N (λ_1 + ... + λ_(r-1))``
+    plus 1e-9 X² for rounding, or X² where less, the λ being the eigenvalues of
+    ``SᵀS``, largest first, for the residuals ``S_ij = (n_ij - E_ij) / sqrt(R_i C_j)``.
+    A merge maps ``S`` to ``AS``, ``A`` having r orthonormal rows, one along
+    ``sqrt(R)``, and ``Sᵀ sqrt(R) = 0``: by Ky Fan's maximum principle, ``N ‖AS‖²``
+    is at most that sum (Greenacre 1984, ch. 7), which is X² from r = J on.
+    ``S`` is formed first, so rounding scales with it; cyclic Jacobi rotations find the λ.
     """
-    statistic = pearson_statistic(table.counts)
-    scale = _node_scale(table, predictor)
-    c, extra = table.n_rows, table.n_cols - 1
-    # At r = c the multiplier is 1, so the bound is at most 0, as the key it bounds is.
-    return min(
-        log_multiplier + chi_square_log_p_value(statistic, (r - 1) * extra)
-        for r, log_multiplier in enumerate(_log_multipliers(scale, c), 2)
-    )
+    cols = [sum(column) for column in zip(*table.counts)]
+    n = sum(cols)
+    u = [math.sqrt(c / n) for c in cols]
+    residuals = []
+    for row, total in zip(table.counts, table.row_totals()):
+        # S's rows are orthogonal to u: reflect u onto the first axis and drop that axis.
+        s = [(x - total * c / n) / math.sqrt(total * c) for x, c in zip(row, cols)]
+        residuals.append([x - s[0] * y / (1.0 + u[0]) for x, y in zip(s[1:], u[1:])])
+    columns = list(zip(*residuals))
+    a = [[sum(map(operator.mul, x, y)) for y in columns] for x in columns]
+    pairs = list(itertools.combinations(range(len(a)), 2))
+    while sum(a[p][q] ** 2 for p, q in pairs) > 1e-26 * sum(a[j][j] for j in range(len(a))) ** 2:
+        for p, q in pairs:
+            if a[p][q]:
+                theta = (a[q][q] - a[p][p]) / (2.0 * a[p][q])
+                tan = math.copysign(1.0 / (abs(theta) + math.hypot(theta, 1.0)), theta)
+                cos, sin = 1.0 / math.hypot(tan, 1.0), tan / math.hypot(tan, 1.0)
+                for line in a:
+                    line[p], line[q] = cos * line[p] - sin * line[q], sin * line[p] + cos * line[q]
+                row_p, row_q = a[p], a[q]
+                a[p] = [cos * x - sin * y for x, y in zip(row_p, row_q)]
+                a[q] = [sin * x + cos * y for x, y in zip(row_p, row_q)]
+    sums = itertools.accumulate(sorted((a[j][j] for j in range(len(a))), reverse=True)[:-1])
+    return [min(statistic, n * total + 1e-9 * statistic) for total in sums]
+
+
+def _log_p_bounds(
+    table: ContingencyTable, predictor: PredictorSpec, statistics: Iterable[float]
+) -> list[float]:
+    """The least log adjusted p-values of merging ``table``'s rows into r = 2, 3, ... groups.
+
+    ``statistics`` bounds Pearson's statistic at each r. The table's X² does at every r: merging
+    never raises it, (a+b)^2/(r_a+r_b) <= a^2/r_a + b^2/r_b by Cauchy-Schwarz, nor changes the
+    columns, and the tail rises with df.
+    """
+    multipliers = enumerate(_log_multipliers(_node_scale(table, predictor), table.n_rows), 2)
+    return [
+        log_multiplier + chi_square_log_p_value(statistic, (r - 1) * (table.n_cols - 1))
+        for (r, log_multiplier), statistic in zip(multipliers, statistics)
+    ]
 
 
 def best_split(
@@ -357,25 +396,31 @@ def best_split(
     p-values underflow; ties break by log raw p-value, then by position in
     ``predictors``.
 
-    The search is a branch and bound over predictors, with
-    :func:`_log_p_bound` as the relaxation. Every predictor is counted and
-    bounded, then merged and scored in increasing order of ``(bound,
-    position)``, until a bound lies above the cut: log ``alpha_split`` at
-    first, then the best key so far where that is lower. The order is
-    sorted, so no later predictor can win either. A predictor pruned by
-    ``alpha_split`` would fail that check had it won, and one pruned by the
-    incumbent cannot beat it.
+    The search is a branch and bound over predictors. Each is counted and
+    bounded by :func:`_log_p_bounds` at its X², then taken in increasing
+    order of ``(bound, position)`` until a bound lies above the cut: log
+    ``alpha_split``, or the best key so far where lower. The order is sorted,
+    so no later predictor can win either. One is merged unless its bounds at
+    :func:`_statistic_caps` lie above the cut too. So each predictor is
+    scored, or pruned by ``alpha_split``, the incumbent or the cap.
     """
     bounded = []
     for position, predictor in enumerate(predictors):
         table = build_contingency(node, predictor.name)
         if table.n_rows >= 2 and table.n_cols >= 2:
-            bounded.append((_log_p_bound(table, predictor), position, table, predictor))
+            x2 = pearson_statistic(table.counts)
+            bounds = _log_p_bounds(table, predictor, itertools.repeat(x2))
+            # At r = c the multiplier is 1, so the bound is at most 0, as the key it bounds is.
+            bounded.append((min(bounds), position, table, predictor, x2, bounds))
     best, rank = None, None
     cut = math.log(params.alpha_split)
-    for bound, position, table, predictor in sorted(bounded, key=lambda b: b[:2]):
+    for bound, position, table, predictor, x2, bounds in sorted(bounded, key=lambda b: b[:2]):
         if bound > cut + 1e-9:  # the bound's rounding margin
             break
+        # Only r < J caps below X², and only with 3 rows: the bounds from r = J on stand.
+        if table.n_rows > 2 and min(bounds[table.n_cols - 2 :], default=math.inf) > cut + 1e-9:
+            if min(_log_p_bounds(table, predictor, _statistic_caps(table, x2))) > cut + 1e-9:
+                continue
         candidate = _score(table, predictor, params.alpha_merge)
         log_p = min(0.0, math.log(candidate.multiplier) + candidate.log_raw_p)
         key = (log_p, candidate.log_raw_p, position)

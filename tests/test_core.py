@@ -27,7 +27,9 @@ from chaidkit import (
     merge_categories,
 )
 from chaidkit.core import CategoryPartition, SplitCandidate, StopReason, _adjusted_p, should_stop
+from chaidkit.stats import pearson_statistic
 from conftest import (
+    _set_partitions,
     coded,
     merge_by_recomputing,
     multi_records_from_counts,
@@ -438,6 +440,14 @@ def _key(candidate):
     return min(0.0, math.log(candidate.multiplier) + candidate.log_raw_p)
 
 
+def _bound(table, predictor, capped=False):
+    """The least log adjusted p-value ``best_split`` bounds a predictor by, capped or not."""
+    statistic = pearson_statistic(table.counts)
+    statistics = chaidkit.core._statistic_caps(table, statistic) if capped else []
+    statistics += [statistic] * (table.n_rows - 1 - len(statistics))
+    return min(chaidkit.core._log_p_bounds(table, predictor, statistics))
+
+
 def _reference_best_split(node, predictors, params):
     """``best_split`` as documented, scoring every predictor with ``evaluate_predictor``."""
     scored = [evaluate_predictor(node, p, params.alpha_merge) for p in predictors]
@@ -455,12 +465,13 @@ def leaning_nodes(draw):
 
     Each predictor leans by its own amount, from none to fully. A float
     predictor's floating category is its last one, observed or not;
-    classes number two or three. Sometimes one column is repeated under a
+    classes number two to six, so the caps' Jacobi rotations run on
+    matrices up to 5 x 5. Sometimes one column is repeated under a
     second name, ``<name>_twin``, at any schema position, so two predictors
     tie exactly.
     """
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    classes = "uvw"[: draw(st.integers(2, 3))]
+    classes = "uvwrst"[: draw(st.integers(2, 6))]
     predictors, emitted, leans = [], [], []
     for i in range(draw(st.integers(1, 4))):
         cats = [f"k{j}" for j in range(draw(st.integers(2, 6)))]
@@ -519,9 +530,10 @@ class TestSplitBound:
         if candidate is None:
             assert table.n_rows < 2 or table.n_cols < 2
             return
-        bound = chaidkit.core._log_p_bound(table, predictor)
+        bound = _bound(table, predictor)
         assert bound <= 0.0
         assert bound <= _key(candidate) + 1e-12
+        assert _bound(table, predictor, capped=True) <= _key(candidate) + 1e-12
 
     def test_a_merge_that_keeps_the_statistic_ties_the_bound(self):
         # A and B are proportional, so they merge at p = 1 and the merged
@@ -533,9 +545,61 @@ class TestSplitBound:
         candidate = evaluate_predictor(coded(records_from_counts(counts), "x"), spec("ABC"), 0.05)
         assert candidate.partition.groups == (("A", "B"), ("C",))
         assert chi_square_test(table).statistic == pytest.approx(candidate.statistic, rel=1e-15)
-        bound = chaidkit.core._log_p_bound(table, spec("ABC"))
+        bound = _bound(table, spec("ABC"))
         assert bound == pytest.approx(_key(candidate), abs=1e-12)
         assert bound <= _key(candidate) + 1e-12
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_no_merge_exceeds_its_cap(self, data):
+        n_rows, n_cols = data.draw(st.integers(3, 7)), data.draw(st.integers(3, 5))
+        # As above, zero cells and rows proportional to one base row are drawn.
+        base = [data.draw(st.integers(1, 30)) for _ in range(n_cols)]
+        cell = st.one_of(st.just(0), st.integers(0, 5), st.integers(0, 60))
+        grid = [
+            [m * b for b in base]
+            if (m := data.draw(st.integers(0, 3)))
+            else [data.draw(cell) for _ in range(n_cols)]
+            for _ in range(n_rows)
+        ]
+        assume(any(map(any, grid)))
+        table = ContingencyTable.from_counts(
+            [f"k{i}" for i in range(n_rows)], [f"c{j}" for j in range(n_cols)], grid
+        )
+        assume(table.n_rows >= 3 and table.n_cols >= 3)
+        statistic = pearson_statistic(table.counts)
+        caps = chaidkit.core._statistic_caps(table, statistic)
+        assert len(caps) == table.n_cols - 2
+        for r in range(2, table.n_rows + 1):
+            # From r = J on the cap is X², which no merge exceeds beyond rounding; nor
+            # does it exceed a cap below X², which carries a slack of 1e-9 X².
+            cap = caps[r - 2] if r - 2 < len(caps) else statistic
+            for blocks in _set_partitions(table.n_rows, r):
+                merged = [[sum(table.counts[i][j] for i in block) for j in range(table.n_cols)]
+                          for block in blocks]
+                assert pearson_statistic(merged) <= cap + 1e-12 * statistic
+
+    def test_a_sparse_predictor_that_passes_the_bound_is_never_merged(self, merged):
+        # 18 categories of three records, two of one class and one of
+        # another, each ordered pair of classes three times. The table's
+        # X² is 36 on 34 df, which the r = 2 bound at that X² would pass,
+        # but its two principal inertias are equal, so two groups keep at
+        # most half of it, and no merge of z can reach alpha_split.
+        pairs = [(a, b) for a in "uvw" for b in "uvw" if a != b] * 3
+        records = [
+            {"z": f"k{i:02}", "y": cls} for i, (a, b) in enumerate(pairs) for cls in (a, a, b)
+        ]
+        node = coded(records, "z")
+        table = build_contingency(node, "z")
+        predictor = spec(sorted({record["z"] for record in records}), name="z")
+        params = GrowthParams()
+        assert pearson_statistic(table.counts) == pytest.approx(36.0)
+        assert chaidkit.core._statistic_caps(table, 36.0) == [pytest.approx(18.0)]
+        assert _bound(table, predictor) <= math.log(params.alpha_split)
+        assert _bound(table, predictor, capped=True) > math.log(params.alpha_split) + 1e-9
+        assert best_split(node, [predictor], params) is None
+        assert merged == []
+        assert evaluate_predictor(node, predictor, params.alpha_merge).adjusted_p > 0.05
 
     @given(leaning_nodes(), st.data())
     @settings(max_examples=300, deadline=None)
@@ -573,7 +637,7 @@ class TestSplitBound:
         assert candidate.predictor.name == "x"
         assert merged == ["x"]
         for predictor in predictors[:3]:
-            bound = chaidkit.core._log_p_bound(build_contingency(node, predictor.name), predictor)
+            bound = _bound(build_contingency(node, predictor.name), predictor)
             assert _key(candidate) + 1e-9 < bound <= math.log(params.alpha_split)
 
 
