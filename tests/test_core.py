@@ -556,12 +556,13 @@ class TestSplitBound:
         # As above, zero cells and rows proportional to one base row are drawn.
         base = [data.draw(st.integers(1, 30)) for _ in range(n_cols)]
         cell = st.one_of(st.just(0), st.integers(0, 5), st.integers(0, 60))
-        grid = [
-            [m * b for b in base]
-            if (m := data.draw(st.integers(0, 3)))
-            else [data.draw(cell) for _ in range(n_cols)]
-            for _ in range(n_rows)
-        ]
+        grid = []
+        for _ in range(n_rows):
+            if data.draw(st.booleans()):
+                multiple = data.draw(st.integers(1, 3))
+                grid.append([multiple * b for b in base])
+            else:
+                grid.append([data.draw(cell) for _ in range(n_cols)])
         assume(any(map(any, grid)))
         table = ContingencyTable.from_counts(
             [f"k{i}" for i in range(n_rows)], [f"c{j}" for j in range(n_cols)], grid
@@ -571,8 +572,8 @@ class TestSplitBound:
         caps = chaidkit.core._statistic_caps(table, statistic)
         assert len(caps) == table.n_cols - 2
         for r in range(2, table.n_rows + 1):
-            # From r = J on the cap is X², which no merge exceeds beyond rounding; nor
-            # does it exceed a cap below X², which carries a slack of 1e-9 X².
+            # From r = J on the cap is X², which no merge exceeds beyond rounding;
+            # a cap below X² carries a slack of 1e-9 X² for that rounding.
             cap = caps[r - 2] if r - 2 < len(caps) else statistic
             for blocks in _set_partitions(table.n_rows, r):
                 merged = [[sum(table.counts[i][j] for i in block) for j in range(table.n_cols)]
