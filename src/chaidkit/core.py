@@ -16,7 +16,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ChaidError
 from .stats import (
@@ -385,8 +385,56 @@ def _log_p_bounds(
     ]
 
 
+def _count_tables(node: CodedRecords, names: Iterable[str]) -> dict[str, ContingencyTable]:
+    """The node's table of each predictor named in ``names``, counted from its rows."""
+    return {name: build_contingency(node, name) for name in names}
+
+
+def _subtract(whole: ContingencyTable, parts: Iterable[ContingencyTable]) -> ContingencyTable:
+    """``whole`` less its ``parts``, cell by cell, dropping the lines left empty.
+
+    A part's labels are among ``whole``'s, as a child's are among its parent's.
+    """
+    row_of = {label: i for i, label in enumerate(whole.row_labels)}
+    col_of = {label: j for j, label in enumerate(whole.col_labels)}
+    grid = [list(row) for row in whole.counts]
+    for part in parts:
+        cols = [col_of[label] for label in part.col_labels]
+        for label, counts in zip(part.row_labels, part.counts):
+            line = grid[row_of[label]]
+            for j, count in zip(cols, counts):
+                line[j] -= count
+    rows = [i for i, line in enumerate(grid) if any(line)]
+    cols = [j for j, column in enumerate(zip(*(grid[i] for i in rows))) if any(column)]
+    return ContingencyTable(
+        tuple(whole.row_labels[i] for i in rows),
+        tuple(whole.col_labels[j] for j in cols),
+        tuple(tuple(grid[i][j] for j in cols) for i in rows),
+    )
+
+
+def _child_tables(
+    tables: Mapping[str, ContingencyTable], children: Sequence[CodedRecords]
+) -> list[dict[str, ContingencyTable]]:
+    """Each child's tables by predictor name, given its parent's ``tables``.
+
+    Every child but the largest, the first on a tie, is counted from its
+    rows. The largest child's tables are its parent's less its siblings'
+    (histogram subtraction; Ke et al. 2017, "LightGBM", *NeurIPS*): counts
+    are integers, so they are the tables a count would give.
+    """
+    sizes = [len(child.rows) for child in children]
+    largest = sizes.index(max(sizes))
+    counted = [_count_tables(child, tables) for i, child in enumerate(children) if i != largest]
+    derived = {name: _subtract(table, [c[name] for c in counted]) for name, table in tables.items()}
+    return counted[:largest] + [derived] + counted[largest:]
+
+
 def best_split(
-    node: CodedRecords, predictors: Sequence[PredictorSpec], params: GrowthParams
+    node: CodedRecords,
+    predictors: Sequence[PredictorSpec],
+    params: GrowthParams,
+    tables: Mapping[str, ContingencyTable] | None = None,
 ) -> SplitCandidate | None:
     """Pick the predictor whose merged split has the smallest adjusted p-value.
 
@@ -403,10 +451,13 @@ def best_split(
     so no later predictor can win either. One is merged unless its bounds at
     :func:`_statistic_caps` lie above the cut too. So each predictor is
     scored, or pruned by ``alpha_split``, the incumbent or the cap.
+
+    ``tables`` maps each predictor's name to its table at ``node`` where the
+    caller has it already; by default each is counted here.
     """
     bounded = []
     for position, predictor in enumerate(predictors):
-        table = build_contingency(node, predictor.name)
+        table = tables[predictor.name] if tables else build_contingency(node, predictor.name)
         if table.n_rows >= 2 and table.n_cols >= 2:
             x2 = pearson_statistic(table.counts)
             bounds = _log_p_bounds(table, predictor, itertools.repeat(x2))

@@ -15,6 +15,7 @@ from functools import partial
 from typing import Callable, Mapping, Sequence
 
 from .core import GrowthParams, PredictorSpec, best_split, should_stop
+from .core import _child_tables, _count_tables
 from .errors import ChaidError
 from .ingest import Dataset
 from .model import NodeSplit, Tree, TreeNode
@@ -70,15 +71,22 @@ def _grow(
     root = code({spec.name: spec.categories for spec in predictors})
     nodes: list[TreeNode] = []
     next_id = 1
-    queue: deque[tuple[int, int, int | None, Sequence[int]]] = deque()
-    queue.append((0, 0, None, root.rows))
+    # A queued node carries its tables by predictor name, made at its parent's split.
+    queue: deque[tuple[int, int, int | None, CodedRecords, dict | None]] = deque()
+    queue.append((0, 0, None, root, None))
     while queue:
-        node_id, depth, parent, rows = queue.popleft()
-        node = root.at(rows)
-        class_counts = node.class_counts()
-        # A one-class node cannot split; searching would only count its tables.
-        candidate = best_split(node, predictors, params) if len(class_counts) > 1 else None
-        reason = should_stop(depth, len(rows), candidate, params)
+        node_id, depth, parent, node, tables = queue.popleft()
+        if tables:  # below the root, any of the node's tables sums to its class counts
+            table = tables[names[0]]
+            class_counts = dict(zip(table.col_labels, map(sum, zip(*table.counts))))
+        else:
+            class_counts = node.class_counts()
+        candidate = None
+        # A one-class node cannot split, so it is not searched.
+        if len(class_counts) > 1:
+            tables = tables or _count_tables(node, names)  # the root's
+            candidate = best_split(node, predictors, params, tables)
+        reason = should_stop(depth, len(node.rows), candidate, params)
         split = None
         child_ids: tuple[int, ...] = ()
         if reason is None:
@@ -87,9 +95,11 @@ def _grow(
             groups = split.partition.groups
             child_ids = tuple(range(next_id, next_id + len(groups)))
             next_id += len(groups)
-            parts = node.partition_rows(split.predictor, groups)
-            for child_id, child_rows in zip(child_ids, parts):
-                queue.append((child_id, depth + 1, node_id, child_rows))
+            children = [node.at(rows) for rows in node.partition_rows(split.predictor, groups)]
+            for child_id, child, child_tables in zip(
+                child_ids, children, _child_tables(tables, children)
+            ):
+                queue.append((child_id, depth + 1, node_id, child, child_tables))
         nodes.append(
             TreeNode(
                 id=node_id,

@@ -14,6 +14,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .errors import ChaidError
@@ -268,15 +269,23 @@ class CodedRecords:
     ) -> list[list[int]]:
         """The node's rows, one list per group of column ``name``'s categories.
 
-        Every category the node holds must fall in one of ``groups``.
+        Raises:
+            ChaidError: ``"value outside partition"``, worded as by
+                :meth:`ContingencyTable.merge_rows`, when a category the node
+                holds is in no group.
         """
         slot_of = {cat: gi for gi, group in enumerate(groups) for cat in group}
-        slot = [slot_of.get(cat) for cat in self.categories[name] for _ in self.classes]
+        # A category in no group sends its rows to one part more, refused after the loop.
+        stray = len(groups)
+        slot = [slot_of.get(cat, stray) for cat in self.categories[name] for _ in self.classes]
         keys = self.keys[name]
-        parts: list[list[int]] = [[] for _ in groups]
+        parts: list[list[int]] = [[] for _ in range(stray + 1)]
         for i in self.rows:
             parts[slot[keys[i]]].append(i)
-        return parts
+        if parts[stray]:
+            first = min(map(keys.__getitem__, parts[stray])) // len(self.classes)
+            raise ChaidError(f"value outside partition: {self.categories[name][first]!r}")
+        return parts[:stray]
 
 
 def build_contingency(node: CodedRecords, predictor: str) -> ContingencyTable:
@@ -284,8 +293,9 @@ def build_contingency(node: CodedRecords, predictor: str) -> ContingencyTable:
 
     Every category the node holds is its own row, in the coding's category
     order; :meth:`ContingencyTable.merge_rows` sums the rows per group of a
-    partition. Columns follow the coding's class order. Zero rows and
-    columns are dropped. Plain records are coded first, with
+    partition. Columns follow the coding's class order. The table is built
+    straight from the counted keys: those that occur name its rows and
+    columns, so no empty line is made. Plain records are coded first, with
     :meth:`CodedRecords.from_records`.
 
     Raises:
@@ -293,12 +303,20 @@ def build_contingency(node: CodedRecords, predictor: str) -> ContingencyTable:
     """
     if not node.rows:
         raise ChaidError("empty node")
+    keys, rows = node.keys[predictor], node.rows
+    if rows == range(len(keys)):  # the root holds every row: no gather
+        counts = Counter(keys)
+    else:  # itemgetter gathers in C, but of one row it returns the key, not a tuple
+        counts = Counter(itemgetter(*rows)(keys) if len(rows) > 1 else [keys[rows[0]]])
     n_classes = len(node.classes)
+    rows = sorted({key // n_classes for key in counts})
+    cols = sorted({key % n_classes for key in counts})
     cats = node.categories[predictor]
-    grid = [[0] * n_classes for _ in cats]
-    for key, count in Counter(map(node.keys[predictor].__getitem__, node.rows)).items():
-        grid[key // n_classes][key % n_classes] = count
-    return ContingencyTable.from_counts(cats, node.classes, grid)
+    return ContingencyTable(
+        tuple((cats[r],) for r in rows),
+        tuple(node.classes[c] for c in cols),
+        tuple(tuple(counts[r * n_classes + c] for c in cols) for r in rows),
+    )
 
 
 def chi_square_log_p_value(statistic: float, df: int) -> float:

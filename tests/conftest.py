@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left
+from collections import deque
 from functools import partial
 from operator import itemgetter
 from typing import Mapping, Sequence
@@ -21,7 +22,7 @@ from chaidkit import (
     Tree,
     chi_square_test,
 )
-from chaidkit.core import MISSING_LABEL, CategoryPartition, StopReason
+from chaidkit.core import MISSING_LABEL, CategoryPartition, StopReason, best_split, should_stop
 from chaidkit.errors import DataError
 from chaidkit.ingest import Dataset, _bin_labels, _compute_boundaries, _numbers, _open_csv
 from chaidkit.model import NodeSplit, TreeNode
@@ -241,6 +242,60 @@ def merge_by_recomputing(
         groups[i] += groups.pop(j)
         counts[i] = [a + b for a, b in zip(counts[i], counts.pop(j))]
     return tuple(tuple(sorted(group, key=order.__getitem__)) for group in groups), tested
+
+
+def grow_counting_every_node(
+    records: Sequence[Mapping[str, object]],
+    predictors: Sequence[PredictorSpec],
+    target: str,
+    params: GrowthParams = GrowthParams(),
+) -> Tree:
+    """``grow_tree`` with every searched node's tables counted from its rows.
+
+    The node loop as it was before a split derived its largest child's
+    tables: ``best_split`` is given the node alone and counts each
+    predictor's table itself. The input is taken to be valid.
+    """
+    universes = {spec.name: spec.categories for spec in predictors}
+    root = CodedRecords.from_records(records, target, universes)
+    nodes: list[TreeNode] = []
+    next_id = 1
+    queue: deque[tuple[int, int, int | None, Sequence[int]]] = deque([(0, 0, None, root.rows)])
+    while queue:
+        node_id, depth, parent, rows = queue.popleft()
+        node = root.at(rows)
+        class_counts = node.class_counts()
+        candidate = best_split(node, predictors, params) if len(class_counts) > 1 else None
+        reason = should_stop(depth, len(rows), candidate, params)
+        split = None
+        child_ids: tuple[int, ...] = ()
+        if reason is None:
+            split = NodeSplit(predictor=candidate.predictor.name, partition=candidate.partition)
+            groups = split.partition.groups
+            child_ids = tuple(range(next_id, next_id + len(groups)))
+            next_id += len(groups)
+            parts = node.partition_rows(split.predictor, groups)
+            for child_id, child_rows in zip(child_ids, parts):
+                queue.append((child_id, depth + 1, node_id, child_rows))
+        nodes.append(
+            TreeNode(
+                id=node_id,
+                depth=depth,
+                parent=parent,
+                split=split,
+                children=child_ids,
+                class_counts=class_counts,
+                stop_reason=reason,
+            )
+        )
+    return Tree(
+        target=target,
+        classes=root.classes,
+        nodes=tuple(nodes),
+        growth_params=params,
+        predictors=tuple(predictors),
+        schema=None,
+    )
 
 
 def coded(

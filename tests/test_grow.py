@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import io
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import chaidkit.core
+import chaidkit.grow
 from chaidkit import (
     ChaidError,
+    CodedRecords,
     GrowthParams,
     PredictorSpec,
     Scale,
@@ -20,9 +24,9 @@ from chaidkit import (
     load_dataset,
     train_tree,
 )
-from chaidkit.core import StopReason
+from chaidkit.core import MISSING_LABEL, StopReason
 from chaidkit.ingest import ColumnSpec, DatasetSchema
-from conftest import coded, partition_count_oracle
+from conftest import coded, grow_counting_every_node, partition_count_oracle
 
 
 def _random_records(rng, n_rows, n_predictors, n_cats, n_classes):
@@ -146,6 +150,124 @@ class TestGrowProperties:
             )
             if node_a.split is not None:
                 assert node_a.split.partition == node_b.split.partition
+
+
+@st.composite
+def subtraction_inputs(draw):
+    """Records whose splits often tie, leave a child one class, or empty a line of it.
+
+    ``x0`` has two to four categories of ``m`` rows each, or of ``m`` and
+    up to ``m`` more, so children of single categories often tie in size.
+    Each category holds its own subset of the classes, so a child can hold
+    one class, or lose a class its parent holds. ``x1`` is float, with
+    ``<missing>`` only in rows of one ``x0`` category, so it is absent from
+    other children; ``x2`` is noise on any scale. Growth options are loose
+    enough for trees of several levels.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    classes = [f"k{i}" for i in range(draw(st.integers(2, 3)))]
+    x0_cats = tuple(f"a{i}" for i in range(draw(st.integers(2, 4))))
+    m = draw(st.integers(3, 20))
+    uneven = draw(st.booleans())
+    x2_scale = draw(st.sampled_from(list(Scale)))
+    predictors = [
+        PredictorSpec("x0", draw(st.sampled_from([Scale.FREE, Scale.MONOTONIC])), x0_cats),
+        PredictorSpec("x1", Scale.FLOAT, ("lo", "mid", "hi", MISSING_LABEL), MISSING_LABEL),
+        PredictorSpec(
+            "x2", x2_scale, ("q0", "q1", "q2", "q3"), "q3" if x2_scale is Scale.FLOAT else None
+        ),
+    ]
+    holder = rng.choice(x0_cats)
+    records = []
+    for cat in x0_cats:
+        held = rng.sample(classes, rng.randint(1, len(classes)))
+        for _ in range(m + (rng.randint(0, m) if uneven else 0)):
+            y = rng.choice(held)
+            lean = classes.index(y) if rng.random() < 0.6 else rng.randrange(3)
+            missing = cat == holder and rng.random() < 0.5
+            x1 = MISSING_LABEL if missing else ("lo", "mid", "hi")[lean]
+            x2 = rng.choice(("q0", "q1", "q2", "q3"))
+            records.append({"x0": cat, "x1": x1, "x2": x2, "y": y})
+    rng.shuffle(records)
+    min_child = draw(st.integers(1, 4))
+    params = GrowthParams(
+        alpha_merge=draw(st.sampled_from([0.05, 0.3])),
+        alpha_split=draw(st.sampled_from([0.05, 0.5])),
+        max_depth=draw(st.integers(1, 4)),
+        min_parent_size=2 * min_child + draw(st.integers(0, 6)),
+        min_child_size=min_child,
+    )
+    return records, predictors, params
+
+
+def _tied_inputs():
+    """Two pure ``x0`` categories of ten rows each: the root splits into two tied children."""
+    predictors = [
+        PredictorSpec("x0", Scale.FREE, ("a0", "a1")),
+        PredictorSpec("x1", Scale.FLOAT, ("lo", "hi", MISSING_LABEL), MISSING_LABEL),
+    ]
+    records = [
+        {"x0": f"a{i % 2}", "x1": ("lo", "hi", MISSING_LABEL)[i % 3], "y": f"k{i % 2}"}
+        for i in range(20)
+    ]
+    return records, predictors, GrowthParams()
+
+
+def _counted(node, name):
+    """``build_contingency`` of a coded node, over a fresh list of its rows."""
+    return build_contingency(node.at(list(node.rows)), name)
+
+
+class TestSubtraction:
+    @given(subtraction_inputs())
+    @example(_tied_inputs())
+    @settings(max_examples=80, deadline=None)
+    def test_growth_equals_counting_every_node(self, inputs):
+        records, predictors, params = inputs
+        derive = chaidkit.grow._child_tables
+
+        def recounted(tables, children):
+            made = derive(tables, children)
+            assert len(made) == len(children)
+            for child, child_tables in zip(children, made):
+                assert set(child_tables) == {spec.name for spec in predictors}
+                for name, table in child_tables.items():
+                    assert table == _counted(child, name)
+            return made
+
+        with mock.patch.object(chaidkit.grow, "_child_tables", recounted):
+            tree = grow_tree(records, predictors, "y", params)
+        expected = grow_counting_every_node(records, predictors, "y", params)
+        assert tree.document_bytes() == expected.document_bytes()
+
+    @given(subtraction_inputs(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_the_first_largest_child_is_derived_and_the_rest_counted(self, inputs, data):
+        records, predictors, _ = inputs
+        names = [spec.name for spec in predictors]
+        root = CodedRecords.from_records(records, "y", {p.name: p.categories for p in predictors})
+        name = data.draw(st.sampled_from(names))
+        held = [cat for cat in root.categories[name] if any(r[name] == cat for r in records)]
+        order = data.draw(st.permutations(held))
+        cuts = sorted(data.draw(st.sets(st.integers(1, len(held) - 1))) if len(held) > 1 else [])
+        groups = [order[i:j] for i, j in zip([0, *cuts], [*cuts, len(held)])]
+        children = [root.at(rows) for rows in root.partition_rows(name, groups)]
+        parent = {n: build_contingency(root, n) for n in names}
+        counted = []
+
+        def count(node, predictor):
+            counted.append(node)
+            return build_contingency(node, predictor)
+
+        with mock.patch.object(chaidkit.core, "build_contingency", count):
+            made = chaidkit.core._child_tables(parent, children)
+        sizes = [len(child.rows) for child in children]
+        first_largest = children[sizes.index(max(sizes))]
+        assert len(counted) == len(names) * (len(children) - 1)
+        assert all(node is not first_largest for node in counted)
+        assert len(made) == len(children)
+        for child, child_tables in zip(children, made):
+            assert child_tables == {n: _counted(child, n) for n in names}
 
 
 class TestGrowValidation:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from decimal import Decimal, localcontext
 
 import mpmath
@@ -144,6 +145,20 @@ class TestContingency:
         with pytest.raises(ChaidError, match="value outside partition"):
             build_contingency(coded(records, "x"), "x").merge_rows([("A", "B")])
 
+    def test_partition_rows_refuses_a_value_outside_partition(self):
+        # 'd' comes first in row order, 'c' first in category order.
+        columns = {"x": ["d", "a", "b", "c", "b"], "y": ["u", "v", "u", "u", "v"]}
+        node = CodedRecords.encode(columns, "y", {"x": ["a", "b", "c", "d", "e"]})
+        groups = [("a",), ("b",)]
+        with pytest.raises(ChaidError) as merged:
+            build_contingency(node, "x").merge_rows(groups)
+        with pytest.raises(ChaidError) as parted:
+            node.partition_rows("x", groups)
+        assert str(parted.value) == str(merged.value) == "value outside partition: 'c'"
+        # A category the node does not hold ('e', and below the root 'c' and 'd') may be left out.
+        assert node.partition_rows("x", [("a", "c"), ("b", "d")]) == [[1, 3], [0, 2, 4]]
+        assert node.at([4, 1, 2]).partition_rows("x", groups) == [[1], [4, 2]]
+
     def test_merged_row_spanning_two_groups(self):
         table = ContingencyTable.from_counts([("a", "b"), ("c",)], ["u", "v"], [[3, 1], [1, 3]])
         with pytest.raises(ChaidError, match=r"row \('a', 'b'\) spans two partition groups"):
@@ -193,6 +208,60 @@ class TestContingency:
     def test_negative_count_rejected(self):
         with pytest.raises(ChaidError):
             ContingencyTable.from_counts(["a", "b"], ["u", "v"], [[1, -1], [1, 1]])
+
+
+def _grid_builder(node, predictor):
+    """``build_contingency`` as a zero grid over every category and class, then ``from_counts``."""
+    if not node.rows:
+        raise ChaidError("empty node")
+    n_classes = len(node.classes)
+    cats = node.categories[predictor]
+    grid = [[0] * n_classes for _ in cats]
+    for key, count in Counter(map(node.keys[predictor].__getitem__, node.rows)).items():
+        grid[key // n_classes][key % n_classes] = count
+    return ContingencyTable.from_counts(cats, node.classes, grid)
+
+
+@st.composite
+def coded_nodes(draw):
+    """A node of a coded root whose declared categories and classes are not all observed.
+
+    The node is the root itself, the root's rows as a list, one row, or
+    any rows in any order.
+    """
+    classes = [f"k{i}" for i in range(draw(st.integers(1, 4)))]
+    universes = {name: [f"{name}{i}" for i in range(draw(st.integers(1, 5)))] for name in "xz"}
+    n = draw(st.integers(1, 40))
+    columns = {
+        name: draw(st.lists(st.sampled_from(cats), min_size=n, max_size=n))
+        for name, cats in universes.items()
+    }
+    columns["y"] = draw(st.lists(st.sampled_from(classes), min_size=n, max_size=n))
+    root = CodedRecords.encode(columns, "y", universes, class_order=classes)
+    kind = draw(st.sampled_from(["root", "root as a list", "one row", "some rows"]))
+    if kind == "root":
+        return root
+    if kind == "root as a list":
+        return root.at(list(root.rows))
+    if kind == "one row":
+        return root.at([draw(st.integers(0, n - 1))])
+    return root.at(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)))
+
+
+class TestDirectTables:
+    @given(coded_nodes())
+    @settings(max_examples=200, deadline=None)
+    def test_equal_to_the_zero_grid_builder(self, node):
+        for name in ("x", "z"):
+            table = build_contingency(node, name)
+            assert table == _grid_builder(node, name)
+            assert sum(map(sum, table.counts)) == len(node.rows)
+
+    def test_empty_node(self):
+        root = CodedRecords.encode({"x": ["a", "b"], "y": ["u", "v"]}, "y", {"x": None})
+        for node in (root.at([]), root.at(range(0)), coded([], "x")):
+            with pytest.raises(ChaidError, match="empty node"):
+                build_contingency(node, "x")
 
 
 class TestPearson:
