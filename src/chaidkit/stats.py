@@ -309,13 +309,13 @@ def build_contingency(node: CodedRecords, predictor: str) -> ContingencyTable:
     else:  # itemgetter gathers in C, but of one row it returns the key, not a tuple
         counts = Counter(itemgetter(*rows)(keys) if len(rows) > 1 else [keys[rows[0]]])
     n_classes = len(node.classes)
-    rows = sorted({key // n_classes for key in counts})
-    cols = sorted({key % n_classes for key in counts})
+    ranks = sorted({key // n_classes for key in counts})
+    codes = sorted({key % n_classes for key in counts})
     cats = node.categories[predictor]
     return ContingencyTable(
-        tuple((cats[r],) for r in rows),
-        tuple(node.classes[c] for c in cols),
-        tuple(tuple(counts[r * n_classes + c] for c in cols) for r in rows),
+        tuple((cats[r],) for r in ranks),
+        tuple(node.classes[c] for c in codes),
+        tuple(tuple(counts[r * n_classes + c] for c in codes) for r in ranks),
     )
 
 
