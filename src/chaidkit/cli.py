@@ -15,8 +15,10 @@ import sys
 from contextlib import closing
 from dataclasses import asdict, fields, replace
 from functools import cache
-from itertools import chain
+from itertools import chain, repeat
+from operator import add, itemgetter
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Sequence
 
 from .core import GrowthParams
@@ -150,30 +152,37 @@ def cmd_predict(args: argparse.Namespace) -> int:
         if os.path.exists(args.out) and os.path.samefile(args.out, args.data):
             raise ChaidError("--out names the --data file, which is still being read")
         with open(args.out, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle, delimiter=schema.delimiter, lineterminator="\n")
-            writer.writerow(
-                list(first.header)
-                + ["leaf_id", "predicted_class"]
-                + [f"p_{cls}" for cls in tree.classes]
-            )
-            row_number = 0
+            # A writer returns what its file's ``write`` returns: here, each formatted line.
+            line = csv.writer(
+                SimpleNamespace(write=str), delimiter=schema.delimiter, lineterminator="\n"
+            ).writerow
+            names = [f"p_{cls}" for cls in tree.classes]
+            handle.write(line([*first.header, "leaf_id", "predicted_class", *names]))
+            done = 0
+            leaves: list[int] = []
 
             def warn(note: str) -> None:
-                print(f"warning: row {row_number}: {note}", file=sys.stderr)
+                print(f"warning: row {done + len(leaves) + 1}: {note}", file=sys.stderr)
 
-            # Every row routed to a leaf ends in the same cells: format them once.
+            # Quoting is decided cell by cell, so a row's line is its input cells'
+            # line, formatted with a blank padding cell whose delimiter and line end
+            # are then cut, followed by its leaf's ",<cells>\n", formatted once per
+            # leaf. The padding also keeps a lone blank cell from being written as "".
             @cache
-            def tail(leaf_id: int) -> tuple[str, ...]:
+            def tail(leaf_id: int) -> str:
                 dist = tree.distribution(leaf_id)
                 probabilities = (repr(dist.probabilities[cls]) for cls in tree.classes)
-                return (str(leaf_id), dist.modal_class(), *probabilities)
+                return line(("", str(leaf_id), dist.modal_class(), *probabilities))
 
+            cut = itemgetter(slice(None, -2))
+            route = tree.route
             for batch in chain([first], batches):
-                lines = []
-                for raw, record in zip(batch.raw_rows, batch.iter_records()):
-                    row_number += 1
-                    lines.append(raw + tail(tree.route(record, warn=warn)))
-                writer.writerows(lines)
+                leaves = []
+                for record in batch.iter_records():
+                    leaves.append(route(record, warn=warn))
+                heads = map(cut, map(line, map(add, batch.raw_rows, repeat(("",)))))
+                handle.writelines(map(add, heads, map(tail, leaves)))
+                done += len(leaves)
     return 0
 
 

@@ -25,7 +25,7 @@ from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import count, islice
+from itertools import count, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -351,7 +351,7 @@ class Dataset:
         """One dict per row, column name to label, each built as it is reached."""
         names = tuple(self.columns)
         rows = zip(*self.columns.values()) if names else [()] * self.n_rows
-        return (dict(zip(names, labels)) for labels in rows)
+        return map(dict, map(zip, repeat(names), rows))
 
     @property
     def records(self) -> tuple[dict[str, str], ...]:

@@ -148,26 +148,33 @@ class Tree:
         float predictor's floating category, which blank cells become, are
         reported as missing values.
         """
-        node = self.nodes[0]
-        while node.split is not None:
-            raw = record.get(node.split.predictor)
-            value = None if raw is None else str(raw)
-            child_id = self._child_of[node.id].get(value)
+        steps = self._steps
+        node_id = 0
+        while (step := steps[node_id]) is not None:
+            predictor, child_of = step
+            value = record.get(predictor)
+            if type(value) is not str and value is not None:
+                value = str(value)
+            child_id = child_of.get(value)
             if child_id is None:
-                child_id, cause = self._detour(node, value)
+                child_id, cause = self._detour(self.nodes[node_id], value)
                 if warn is not None:
                     warn(f"{cause}; following the largest child (node {child_id})")
-            node = self.nodes[child_id]
-        return node.id
+            node_id = child_id
+        return node_id
 
     @cached_property
-    def _child_of(self) -> list[dict[str, int]]:
-        """Per node, the child id of each category its split groups."""
-        child_of = []
+    def _steps(self) -> list[tuple[str, dict[str, int]] | None]:
+        """Per node id: None at a leaf, else its split predictor and each grouped category's child."""
+        steps = []
         for node in self.nodes:
-            groups = node.split.partition.groups if node.split is not None else ()
-            child_of.append({c: child for g, child in zip(groups, node.children) for c in g})
-        return child_of
+            split = node.split
+            if split is None:
+                steps.append(None)
+            else:
+                edges = zip(split.partition.groups, node.children)
+                steps.append((split.predictor, {c: child for g, child in edges for c in g}))
+        return steps
 
     def _detour(self, node: TreeNode, value: str | None) -> tuple[int, str]:
         """The child a value ungrouped at ``node`` follows, and why (see :meth:`route`)."""

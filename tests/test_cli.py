@@ -657,6 +657,71 @@ class TestPredictMatchesRoute:
 
 
 @st.composite
+def awkward_cells(draw):
+    """A delimiter, training rows whose cells and classes need quoting under it, and rows to predict.
+
+    Cells hold the delimiter, quotes, line breaks and padding spaces. The
+    rows to predict have one column, with quoted blank cells, or two.
+    """
+    d = draw(st.sampled_from([",", ";", "\t", " ", "|"]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    pads = ["", " ", "  ", '"', d, "\r\n"]
+    cores = ["a", f"b{d}b", 'c"c', "d\r\nd", "e e", f'{d}"f']
+    cats = rng.sample([rng.choice(pads) + core + rng.choice(pads) for core in cores], 3)
+    classes = rng.sample([f"u{d}1", 'v"2', "w\r\nx", f'{d}"', "plain"], rng.randint(2, 3))
+    training = [["x", "y"]]
+    for _ in range(rng.randint(30, 90)):
+        j = rng.randrange(len(cats))
+        y = classes[j % len(classes)] if rng.random() < 0.8 else rng.choice(classes)
+        training.append([cats[j], rng.choice(pads) + y + rng.choice(pads)])
+    header = draw(st.sampled_from([["x"], ["x", "note"], ["note", "x"]]))
+    values = cats + ["", " ", '"z"', f"z{d}"]
+    rows = [[rng.choice(values) for _ in header] for _ in range(rng.randint(1, 40))]
+    return d, training, [header] + rows
+
+
+def write_delimited(path, rows, delimiter):
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle, delimiter=delimiter, lineterminator="\n").writerows(rows)
+    return path
+
+
+class TestPredictionBytes:
+    """Each row's line is its input cells and its leaf's cells, quoted as one csv row."""
+
+    @given(awkward_cells())
+    @settings(max_examples=60, deadline=None)
+    @example((" ", [["x", "y"]] + [["a", "u v"], ["b", 'w"'], ["c", "\r\nx"]] * 10, [["x"], [""]]))
+    def test_predictions_file_is_the_csv_rows_of_input_and_leaf_cells(self, inputs):
+        d, training, predicting = inputs
+        with tempfile.TemporaryDirectory() as tmp:
+            work = Path(tmp)
+            schema = write_schema(work / "schema.json", cat("x"), cat("y", role="target"), delimiter=d)
+            data = write_delimited(work / "train.csv", training, d)
+            novel = write_delimited(work / "novel.csv", predicting, d)
+            out, err = work / "pred.csv", io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc, model = train(work, schema, data, *LENIENT)
+                assert rc == 0, err.getvalue()
+                argv = ["predict", "--model", str(model), "--data", str(novel), "--out", str(out)]
+                assert main(argv) == 0, err.getvalue()
+            tree = load_model(model)
+            written = out.read_bytes()
+        # The oracle: one csv writer over every whole output row.
+        header, *rows = predicting
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected, delimiter=d, lineterminator="\n")
+        writer.writerow(header + ["leaf_id", "predicted_class"] + [f"p_{c}" for c in tree.classes])
+        for raw in rows:
+            cell = raw[header.index("x")].strip()
+            leaf = tree.route({"x": cell or MISSING_LABEL})
+            dist = tree.distribution(leaf)
+            probabilities = [repr(dist.probabilities[c]) for c in tree.classes]
+            writer.writerow(raw + [str(leaf), dist.modal_class()] + probabilities)
+        assert written.decode("utf-8") == expected.getvalue()
+
+
+@st.composite
 def training_inputs(draw):
     """A random schema's columns, and training rows that `train` accepts under it.
 

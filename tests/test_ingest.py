@@ -408,6 +408,13 @@ class TestLoadDataset:
         dataset = load_text("x,y\n", schema)
         assert dataset.records == ()
 
+    def test_a_dataset_without_columns_still_has_a_record_per_row(self):
+        # Predicting a one-leaf model without its target column parses no column.
+        schema = make_schema(cat_col("x"), cat_col("y", role="target"))
+        dataset = ingest.Dataset(schema, columns={}, n_rows=3, boundaries={}, missing_counts={})
+        assert list(dataset.iter_records()) == [{}, {}, {}]
+        assert dataset.records == ({}, {}, {})
+
     def test_ragged_row(self):
         schema = make_schema(cat_col("x"), cat_col("y", role="target"))
         with pytest.raises(DataError, match="row 2: expected 2 fields, found 3"):

@@ -6,9 +6,12 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chaidkit import GrowthParams, ModelError, Tree, load_model, save_model
-from chaidkit.core import CategoryPartition, StopReason
+from chaidkit.core import MISSING_LABEL, CategoryPartition, PredictorSpec, Scale, StopReason
+from chaidkit.grow import grow_tree
 from chaidkit.model import ClassDistribution, NodeSplit, TreeNode
 from conftest import TERMINAL_NODE_IDS, random_tree, sales_fixture_tree
 
@@ -120,6 +123,84 @@ class TestRouting:
         tied = Tree.from_document(doc)
         assert tied.nodes[1].size == tied.nodes[2].size
         assert tied.route({"x": "zzz"}) == 1
+
+
+class Label(str):
+    """A str subclass whose repr is not its value's."""
+
+    def __repr__(self):
+        return f"Label({str.__repr__(self)})"
+
+
+def route_by_child_dicts(tree, record, warn=None):
+    """``Tree.route`` as it walked before its step table, with ``str()`` on every value."""
+    child_of = [
+        {c: child for g, child in zip(n.split.partition.groups, n.children) for c in g}
+        if n.split else {}
+        for n in tree.nodes
+    ]
+    node = tree.nodes[0]
+    while node.split is not None:
+        predictor = node.split.predictor
+        raw = record.get(predictor)
+        value = None if raw is None else str(raw)
+        child_id = child_of[node.id].get(value)
+        if child_id is None:
+            floating = {spec.float_category for spec in tree.predictors if spec.name == predictor}
+            if value in {None, MISSING_LABEL} | floating:
+                cause = f"missing value for predictor {predictor!r}"
+            else:
+                cause = (
+                    f"category {value!r} of predictor {predictor!r} "
+                    f"was not seen in training at node {node.id}"
+                )
+            child_id = max(node.children, key=lambda c: tree.nodes[c].size)
+            if warn is not None:
+                warn(f"{cause}; following the largest child (node {child_id})")
+        node = tree.nodes[child_id]
+    return node.id
+
+
+def trained_tree(rng):
+    """A tree grown from random records over digit-labelled free, monotonic and float predictors."""
+    predictors = []
+    for j, scale in enumerate(rng.sample(list(Scale), rng.randint(1, 3))):
+        cats = tuple(str(i) for i in range(rng.randint(2, 4)))
+        floating = MISSING_LABEL if scale is Scale.FLOAT else None
+        predictors.append(PredictorSpec(f"x{j}", scale, cats + (floating,) * bool(floating), floating))
+    records = []
+    for _ in range(rng.randint(40, 160)):
+        record = {spec.name: rng.choice(spec.categories) for spec in predictors}
+        signal = predictors[0].categories.index(record["x0"]) if rng.random() < 0.8 else 0
+        records.append({**record, "y": "uvw"[signal % 3]})
+    lenient = GrowthParams(
+        alpha_merge=0.3, alpha_split=0.5, max_depth=4, min_parent_size=4, min_child_size=2
+    )
+    return grow_tree(records, predictors, "y", lenient)
+
+
+class TestStepTable:
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_route_equals_the_walk_over_child_dicts(self, seed, trained):
+        rng = random.Random(seed)
+        tree = trained_tree(rng) if trained else random_tree(rng)
+        for _ in range(30):
+            record = {}
+            for spec in tree.predictors:
+                seen = rng.choice(spec.categories)
+                values = [seen, Label(seen), "zz", Label("zz"), None, MISSING_LABEL, 7]
+                if seen.isdigit():
+                    values.append(int(seen))
+                if spec.float_category is not None:
+                    values.append(spec.float_category)
+                if rng.random() < 0.8:
+                    record[spec.name] = rng.choice(values)
+            notes, expected_notes = [], []
+            leaf = tree.route(record, warn=notes.append)
+            assert leaf == route_by_child_dicts(tree, record, warn=expected_notes.append)
+            assert notes == expected_notes
+            assert tree.route(record) == leaf
 
 
 class TestDistributions:
