@@ -617,10 +617,10 @@ def predict_inputs(draw):
     return predictors, training, [header] + rows
 
 
-def write_rows(path, rows):
+def write_rows(path, rows, delimiter=","):
     # The csv module quotes a lone blank cell, which a bare empty line would lose.
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        csv.writer(handle, lineterminator="\n").writerows(rows)
+        csv.writer(handle, delimiter=delimiter, lineterminator="\n").writerows(rows)
     return path
 
 
@@ -658,7 +658,7 @@ class TestPredictMatchesRoute:
 
 @st.composite
 def awkward_cells(draw):
-    """A delimiter, training rows whose cells and classes need quoting under it, and rows to predict.
+    """A delimiter, training rows with cells and classes that need quoting, and rows to predict.
 
     Cells hold the delimiter, quotes, line breaks and padding spaces. The
     rows to predict have one column, with quoted blank cells, or two.
@@ -680,12 +680,6 @@ def awkward_cells(draw):
     return d, training, [header] + rows
 
 
-def write_delimited(path, rows, delimiter):
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        csv.writer(handle, delimiter=delimiter, lineterminator="\n").writerows(rows)
-    return path
-
-
 class TestPredictionBytes:
     """Each row's line is its input cells and its leaf's cells, quoted as one csv row."""
 
@@ -696,9 +690,10 @@ class TestPredictionBytes:
         d, training, predicting = inputs
         with tempfile.TemporaryDirectory() as tmp:
             work = Path(tmp)
-            schema = write_schema(work / "schema.json", cat("x"), cat("y", role="target"), delimiter=d)
-            data = write_delimited(work / "train.csv", training, d)
-            novel = write_delimited(work / "novel.csv", predicting, d)
+            columns = cat("x"), cat("y", role="target")
+            schema = write_schema(work / "schema.json", *columns, delimiter=d)
+            data = write_rows(work / "train.csv", training, d)
+            novel = write_rows(work / "novel.csv", predicting, d)
             out, err = work / "pred.csv", io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 rc, model = train(work, schema, data, *LENIENT)

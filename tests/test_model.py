@@ -167,7 +167,8 @@ def trained_tree(rng):
     for j, scale in enumerate(rng.sample(list(Scale), rng.randint(1, 3))):
         cats = tuple(str(i) for i in range(rng.randint(2, 4)))
         floating = MISSING_LABEL if scale is Scale.FLOAT else None
-        predictors.append(PredictorSpec(f"x{j}", scale, cats + (floating,) * bool(floating), floating))
+        cats += (floating,) if floating else ()
+        predictors.append(PredictorSpec(f"x{j}", scale, cats, floating))
     records = []
     for _ in range(rng.randint(40, 160)):
         record = {spec.name: rng.choice(spec.categories) for spec in predictors}
