@@ -19,7 +19,7 @@ from itertools import chain, repeat
 from operator import add, itemgetter
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .core import GrowthParams
 from .errors import ChaidError
@@ -176,11 +176,18 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
             cut = itemgetter(slice(None, -2))
             route = tree.route
+            d, gaps = schema.delimiter, len(first.header) - 1
             for batch in chain([first], batches):
                 leaves = []
                 for record in batch.iter_records():
                     leaves.append(route(record, warn=warn))
-                heads = map(cut, map(line, map(add, batch.raw_rows, repeat(("",)))))
+                # Joined rows that hold only their separating delimiters and no quote
+                # or line break have no cell to quote: they are the writer's lines.
+                rows = batch.raw_rows
+                heads: Iterable[str] = list(map(d.join, rows))
+                text = "".join(heads)
+                if text.count(d) != len(rows) * gaps or any(map(text.__contains__, '"\r\n')):
+                    heads = map(cut, map(line, map(add, rows, repeat(("",)))))
                 handle.writelines(map(add, heads, map(tail, leaves)))
                 done += len(leaves)
     return 0

@@ -130,13 +130,16 @@ def _compute_boundaries(values: Sequence[float], spec: BinningSpec) -> tuple[flo
     """
     if not values:
         return ()
-    ordered = sorted(values)
-    n = len(ordered)
     k = spec.bin_count
     assert k is not None
     if spec.strategy == "equal_frequency":
+        ordered = sorted(values)
+        n = len(ordered)
         k = min(k, n)  # from n bins up, the cuts are every distinct value below the top
-    lo, top = ordered[0], ordered[-1]
+        lo, top = ordered[0], ordered[-1]
+    else:
+        # Only the ends matter; a top tied only as +-0.0 compares, and cuts, alike.
+        lo, top = min(values), max(values)
     bounds: list[float] = []
     for j in range(1, k):
         if spec.strategy == "equal_frequency":
@@ -281,6 +284,10 @@ class DatasetSchema:
             raise DataError("schema must declare exactly one target column")
         if len(self.delimiter) != 1:
             raise DataError("delimiter must be a single character")
+        if self.delimiter in '"\r\n':
+            raise DataError(
+                f"delimiter {self.delimiter!r} cannot be the quote character or a line break"
+            )
 
     @property
     def target(self) -> ColumnSpec:

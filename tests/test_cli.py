@@ -15,6 +15,7 @@ import tempfile
 import tracemalloc
 from dataclasses import asdict, fields
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -417,6 +418,31 @@ def test_unreadable_schema_is_one_error_line(tmp_path, perfect, capsys, text):
     assert err[0].startswith("error: schema file is not valid JSON: ")
 
 
+@pytest.mark.parametrize("delimiter", ['"', "\r", "\n"], ids=["quote", "cr", "lf"])
+@pytest.mark.parametrize("command", ["train", "predict"])
+def test_delimiter_the_csv_module_cannot_use_is_one_error_line(
+    tmp_path, perfect, capsys, command, delimiter
+):
+    schema, data = perfect
+    if command == "train":
+        schema.write_text(json.dumps(schema_doc(categorical(), delimiter=delimiter)), "utf-8")
+        rc, model = train(tmp_path, schema, data)
+        assert not model.exists()
+    else:
+        rc, model = train(tmp_path, schema, data)
+        assert rc == 0
+        capsys.readouterr()
+        doc = json.loads(model.read_text(encoding="utf-8"))
+        doc["schema"]["delimiter"] = delimiter
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "pred.csv"
+        rc = main(["predict", "--model", str(model), "--data", str(data), "--out", str(out)])
+        assert not out.exists()
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: delimiter {delimiter!r} cannot be the quote character or a line break"]
+
+
 def setup_model(tmp_path, perfect):
     schema, data = perfect
     _, model = train(tmp_path, schema, data)
@@ -675,20 +701,38 @@ def awkward_cells(draw):
         y = classes[j % len(classes)] if rng.random() < 0.8 else rng.choice(classes)
         training.append([cats[j], rng.choice(pads) + y + rng.choice(pads)])
     header = draw(st.sampled_from([["x"], ["x", "note"], ["note", "x"]]))
-    values = cats + ["", " ", '"z"', f"z{d}"]
+    values = cats + ["", " ", '"z"', f"z{d}", "z\nz"]
     rows = [[rng.choice(values) for _ in header] for _ in range(rng.randint(1, 40))]
     return d, training, [header] + rows
 
 
 class TestPredictionBytes:
-    """Each row's line is its input cells and its leaf's cells, quoted as one csv row."""
+    """Each row's line is its input cells and its leaf's cells, quoted as one csv row.
 
-    @given(awkward_cells())
+    Batches of a few rows mix, in one file, batches whose cells need no
+    quoting, echoed joined, with batches that go through the csv writer.
+    """
+
+    @given(awkward_cells(), st.integers(1, 4))
     @settings(max_examples=60, deadline=None)
-    @example((" ", [["x", "y"]] + [["a", "u v"], ["b", 'w"'], ["c", "\r\nx"]] * 10, [["x"], [""]]))
-    def test_predictions_file_is_the_csv_rows_of_input_and_leaf_cells(self, inputs):
+    @example(
+        (" ", [["x", "y"]] + [["a", "u v"], ["b", 'w"'], ["c", "\r\nx"]] * 10, [["x"], [""]]), 4
+    )
+    # Only the third batch holds cells that need quoting: a delimiter, a quote, a line break.
+    @example(
+        (
+            ",",
+            [["x", "y"]] + [["a", "u"], ["b", "v"]] * 10,
+            [["x", "note"], ["a", "1"], ["b", ""], ["a", "3"], ["", "4"]]
+            + [["a,b", '"q"'], ["\r\n", "b"], ["b", "7"], ["a", " "]],
+        ),
+        2,
+    )
+    def test_predictions_file_is_the_csv_rows_of_input_and_leaf_cells(self, inputs, batch_rows):
         d, training, predicting = inputs
-        with tempfile.TemporaryDirectory() as tmp:
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+            ingest, "BATCH_ROWS", batch_rows
+        ):
             work = Path(tmp)
             columns = cat("x"), cat("y", role="target")
             schema = write_schema(work / "schema.json", *columns, delimiter=d)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import math
+from array import array
 from collections import Counter
 from unittest import mock
 
@@ -156,6 +157,47 @@ class TestBinning:
         # Labels respect the value order.
         pairs = sorted(zip(values, labels))
         assert [int(l) for _, l in pairs] == sorted(int(l) for _, l in pairs)
+
+    @given(
+        st.lists(
+            st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -2.5, 1e308, -1.7976931348623157e308])
+            | st.floats(allow_nan=False, allow_infinity=False),
+            min_size=1, max_size=30,
+        ),
+        st.integers(2, 7),
+        st.sampled_from(["equal_frequency", "equal_width"]),
+    )
+    @example([-0.0, -3.0, 0.0], 3, "equal_width")
+    @example([0.0, -0.0, 0.0, -0.0], 4, "equal_width")
+    @example([-1.7976931348623157e308, -0.0, 0.0], 5, "equal_width")
+    @settings(max_examples=200, deadline=None)
+    def test_cuts_equal_those_of_the_sorting_function(self, values, k, strategy):
+        def sorted_cuts(values, spec):
+            """The cuts as computed when every strategy sorted the values first."""
+            ordered = sorted(values)
+            n = len(ordered)
+            k = spec.bin_count
+            if spec.strategy == "equal_frequency":
+                k = min(k, n)
+            lo, top = ordered[0], ordered[-1]
+            bounds = []
+            for j in range(1, k):
+                if spec.strategy == "equal_frequency":
+                    cut = ordered[-(-j * n // k) - 1]
+                else:
+                    width = (top - lo) * j
+                    cut = lo + width / k if math.isfinite(width) else lo / k * (k - j) + top / k * j
+                if cut >= top:
+                    break
+                if not bounds or cut > bounds[-1]:
+                    bounds.append(cut)
+            return tuple(bounds)
+
+        spec = BinningSpec(strategy=strategy, bin_count=k)
+        # repr tells -0.0 from 0.0, so the cuts are compared as the model writes them.
+        expected = repr(sorted_cuts(values, spec))
+        assert repr(ingest._compute_boundaries(values, spec)) == expected
+        assert repr(ingest._compute_boundaries(array("d", values), spec)) == expected
 
 
 class TestBinningSpec:
