@@ -153,11 +153,13 @@ def cmd_predict(args: argparse.Namespace) -> int:
             raise ChaidError("--out names the --data file, which is still being read")
         with open(args.out, "w", newline="", encoding="utf-8") as handle:
             # A writer returns what its file's ``write`` returns: here, each formatted line.
+            # It quotes a cell holding a character of its line end, so "\r\n" quotes a lone
+            # "\r" on every Python; each line's "\r\n" is then cut to "\n".
             line = csv.writer(
-                SimpleNamespace(write=str), delimiter=schema.delimiter, lineterminator="\n"
+                SimpleNamespace(write=str), delimiter=schema.delimiter, lineterminator="\r\n"
             ).writerow
             names = [f"p_{cls}" for cls in tree.classes]
-            handle.write(line([*first.header, "leaf_id", "predicted_class", *names]))
+            handle.write(line([*first.header, "leaf_id", "predicted_class", *names])[:-2] + "\n")
             done = 0
             leaves: list[int] = []
 
@@ -172,9 +174,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
             def tail(leaf_id: int) -> str:
                 dist = tree.distribution(leaf_id)
                 probabilities = (repr(dist.probabilities[cls]) for cls in tree.classes)
-                return line(("", str(leaf_id), dist.modal_class(), *probabilities))
+                return line(("", str(leaf_id), dist.modal_class(), *probabilities))[:-2] + "\n"
 
-            cut = itemgetter(slice(None, -2))
+            cut = itemgetter(slice(None, -3))
             route = tree.route
             d, gaps = schema.delimiter, len(first.header) - 1
             for batch in chain([first], batches):

@@ -404,13 +404,7 @@ def _subtract(whole: ContingencyTable, parts: Iterable[ContingencyTable]) -> Con
             line = grid[row_of[label]]
             for j, count in zip(cols, counts):
                 line[j] -= count
-    rows = [i for i, line in enumerate(grid) if any(line)]
-    cols = [j for j, column in enumerate(zip(*(grid[i] for i in rows))) if any(column)]
-    return ContingencyTable(
-        tuple(whole.row_labels[i] for i in rows),
-        tuple(whole.col_labels[j] for j in cols),
-        tuple(tuple(grid[i][j] for j in cols) for i in rows),
-    )
+    return ContingencyTable.from_counts(whole.row_labels, whole.col_labels, grid)
 
 
 def _child_tables(

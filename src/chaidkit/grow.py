@@ -71,21 +71,16 @@ def _grow(
     root = code({spec.name: spec.categories for spec in predictors})
     nodes: list[TreeNode] = []
     next_id = 1
-    # A queued node carries its tables by predictor name, made at its parent's split.
-    queue: deque[tuple[int, int, int | None, CodedRecords, dict | None]] = deque()
-    queue.append((0, 0, None, root, None))
+    # A queued node carries its tables by predictor name: the root's counted here,
+    # a child's made at its parent's split. Any of them sums to the node's class counts.
+    queue: deque[tuple[int, int, int | None, CodedRecords, dict]] = deque()
+    queue.append((0, 0, None, root, _count_tables(root, names)))
     while queue:
         node_id, depth, parent, node, tables = queue.popleft()
-        if tables:  # below the root, any of the node's tables sums to its class counts
-            table = tables[names[0]]
-            class_counts = dict(zip(table.col_labels, map(sum, zip(*table.counts))))
-        else:
-            class_counts = node.class_counts()
-        candidate = None
-        # A one-class node cannot split, so it is not searched.
-        if len(class_counts) > 1:
-            tables = tables or _count_tables(node, names)  # the root's
-            candidate = best_split(node, predictors, params, tables)
+        table = tables[names[0]]
+        class_counts = dict(zip(table.col_labels, map(sum, zip(*table.counts))))
+        # At a one-class node every table has one column, so no predictor is searched.
+        candidate = best_split(node, predictors, params, tables)
         reason = should_stop(depth, len(node.rows), candidate, params)
         split = None
         child_ids: tuple[int, ...] = ()

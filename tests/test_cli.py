@@ -759,6 +759,36 @@ class TestPredictionBytes:
             writer.writerow(raw + [str(leaf), dist.modal_class()] + probabilities)
         assert written.decode("utf-8") == expected.getvalue()
 
+    def test_a_lone_carriage_return_is_quoted_in_cells_and_classes(self, tmp_path, capsys):
+        # Some csv modules quote only the characters of their writer's line end,
+        # and a lone "\r" left bare ends the row for a reader.
+        def write_quoted(path, rows):
+            with open(path, "w", newline="", encoding="utf-8") as handle:
+                csv.writer(handle, quoting=csv.QUOTE_ALL, lineterminator="\n").writerows(rows)
+            return path
+
+        columns = cat("x"), cat("note", role="ignored"), cat("y", role="target")
+        schema = write_schema(tmp_path / "schema.json", *columns)
+        training = [["x", "note", "y"]] + [["a", "", "u"], ["b", "", "v\rw"]] * 20
+        rc, model = train(tmp_path, schema, write_quoted(tmp_path / "train.csv", training))
+        assert rc == 0
+        predicting = [["x", "note"], ["a", "1\r2"], ["b", "\r"], ["a\rb", "3"], ["b", ""]]
+        novel, out = write_quoted(tmp_path / "novel.csv", predicting), tmp_path / "pred.csv"
+        assert main(["predict", "--model", str(model), "--data", str(novel), "--out", str(out)]) == 0
+        capsys.readouterr()
+        tree = load_model(model)
+        assert tree.classes == ("u", "v\rw") and len(tree.nodes) == 3
+        with open(out, newline="", encoding="utf-8") as handle:
+            written = list(csv.reader(handle))
+        header, *rows = predicting
+        expected = [header + ["leaf_id", "predicted_class", "p_u", "p_v\rw"]]
+        for raw in rows:
+            leaf = tree.route({"x": raw[0]})
+            dist = tree.distribution(leaf)
+            probabilities = [repr(dist.probabilities[c]) for c in tree.classes]
+            expected.append(raw + [str(leaf), dist.modal_class()] + probabilities)
+        assert written == expected
+
 
 @st.composite
 def training_inputs(draw):

@@ -213,6 +213,12 @@ def _tied_inputs():
     return records, predictors, GrowthParams()
 
 
+def _one_class_inputs():
+    """Rows of one class: the root's tables have one column, so it cannot split."""
+    records, predictors, params = _tied_inputs()
+    return [{**record, "y": "k0"} for record in records], predictors, params
+
+
 def _counted(node, name):
     """``build_contingency`` of a coded node, over a fresh list of its rows."""
     return build_contingency(node.at(list(node.rows)), name)
@@ -221,6 +227,7 @@ def _counted(node, name):
 class TestSubtraction:
     @given(subtraction_inputs())
     @example(_tied_inputs())
+    @example(_one_class_inputs())
     @settings(max_examples=80, deadline=None)
     def test_growth_equals_counting_every_node(self, inputs):
         records, predictors, params = inputs
