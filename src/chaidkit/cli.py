@@ -105,9 +105,13 @@ def _fail(message: str) -> None:
 
 
 def _distribution_text(tree: Tree, node_id: int) -> str:
-    """A node's class probabilities as ``class:p`` pairs, in class order."""
+    """A node's class probabilities as ``class:p`` pairs, in class order.
+
+    A class that holds a space, ``:``, a quote or an unprintable character is written as its repr.
+    """
     dist = tree.distribution(node_id)
-    return " ".join(f"{cls}:{dist.probabilities[cls]:.6g}" for cls in tree.classes)
+    names = [repr(c) if set(c) & set(" :'\"") or not c.isprintable() else c for c in tree.classes]
+    return " ".join(f"{n}:{dist.probabilities[c]:.6g}" for n, c in zip(names, tree.classes))
 
 
 def _split_predictors(tree: Tree) -> list[str]:

@@ -28,7 +28,7 @@ from functools import partial
 from itertools import count, islice, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .core import MISSING_LABEL, PredictorSpec
 from .errors import DataError, _doc, _number, _text
@@ -518,7 +518,7 @@ class _Labeler:
         if absent and not self.header_fault:
             self.header_fault = DataError(f"missing required column {absent[0]!r}")
         self.columns = [] if self.header_fault else [
-            _Column(col, index[col.name], require_target, keep_raw) for col in parsed
+            _Column(col, index[col.name], require_target) for col in parsed
         ]
 
     def feed(self, rows: list[tuple[str, ...]]) -> None:
@@ -557,15 +557,12 @@ class _Labeler:
 class _Column:
     """One parsed column between batches: what labeling needs, and its faults so far.
 
-    A categorical column keeps its labels, one shared ``str`` per label
-    unless the raw rows are kept. A numeric column with explicit cuts keeps
-    its labels; any other keeps its numbers in an array, a blank cell as
-    +inf, which no cell parses to, and is binned once every row is in.
+    A categorical column keeps its labels, one shared ``str`` per label. A
+    numeric column keeps its numbers in an array, a blank cell as +inf,
+    which no cell parses to, and is binned once every row is in.
     """
 
-    def __init__(
-        self, col: ColumnSpec, position: int, require_target: bool, keep_raw: bool
-    ) -> None:
+    def __init__(self, col: ColumnSpec, position: int, require_target: bool) -> None:
         self.col, self.position = col, position
         self.blank_ok = col.role == "predictor" and (not require_target or col.scale is Scale.FLOAT)
         # A float-scale predictor's blank cells are its floating category.
@@ -574,16 +571,8 @@ class _Column:
         self.blank_rows: list[str] = []  # the first few, where a blank cell is a fault
         self.undeclared_cells: list[str] = []  # the first few
         self.fault: DataError | None = None  # the first cell that is no finite number
-        self.bounds: tuple[float, ...] | None = None
-        # Cuts known up front bin as fed: no array of numbers is kept, and a
-        # prediction pass is faster than one that bins after the last batch.
-        if col.binning is not None and col.binning.boundaries is not None:
-            self.cut(col.binning.boundaries)
-        numbers_kept = col.kind == "numeric" and self.bounds is None
-        self.values: array[float] | list[str] = array("d") if numbers_kept else []
-        # Kept raw rows hold every cell's string anyway: sharing would free nothing
-        # and cost a dict lookup per cell, about a tenth of a prediction pass.
-        self.shared = None if keep_raw else {"": self.blank}
+        self.values: array[float] | list[str] = array("d") if col.kind == "numeric" else []
+        self.shared = {"": self.blank}
         self.declared: set[str] | None = None
         if col.categories is not None and require_target:
             # Blank cells become the floating category; it may be written too.
@@ -606,15 +595,9 @@ class _Column:
             if missing:
                 rest = iter(numbers)
                 numbers = [next(rest) if cell else math.inf for cell in cells]
-            if self.bounds is None:
-                self.values.fromlist(numbers)
-            else:
-                self.values += self.bins(numbers)
+            self.values.fromlist(numbers)
         elif self.declared is None or self.declared.issuperset(cells):
-            if self.shared is None:
-                self.values += [cell or self.blank for cell in cells] if missing else cells
-            else:
-                self.values += map(self.shared.setdefault, cells, cells)
+            self.values += map(self.shared.setdefault, cells, cells)
         else:
             outside = [
                 f"{cell!r} at row {n}"
@@ -639,25 +622,17 @@ class _Column:
     def labels(self, boundaries: dict[str, tuple[float, ...]]) -> list[str]:
         """The column's labels in row order; a numeric column's cuts go into ``boundaries``."""
         values, self.values = self.values, []
-        if self.col.kind != "numeric":
+        binning = self.col.binning
+        if binning is None:
             return values
-        if self.bounds is None:
+        bounds = binning.boundaries
+        if bounds is None:
             numbers = list(filter(math.isfinite, values)) if self.missing else values
-            self.cut(_compute_boundaries(numbers, self.col.binning))
-            values = list(self.bins(values))
-        boundaries[self.col.name] = self.bounds
-        return values
-
-    def cut(self, bounds: tuple[float, ...]) -> None:
-        """Bin by ``bounds`` from now on."""
-        self.bounds = bounds
+            bounds = _compute_boundaries(numbers, binning)
+        boundaries[self.col.name] = bounds
         # A last cut at the largest float puts every number below a blank cell's +inf.
-        self.cuts = (*bounds, sys.float_info.max)
-        self.names = _bin_labels(bounds) + [self.blank]
-
-    def bins(self, numbers: Iterable[float]) -> Iterator[str]:
-        """The bin labels of ``numbers``; +inf, a blank cell, gets the blank label."""
-        return map(self.names.__getitem__, map(partial(bisect_left, self.cuts), numbers))
+        cuts, names = (*bounds, sys.float_info.max), _bin_labels(bounds) + [self.blank]
+        return list(map(names.__getitem__, map(partial(bisect_left, cuts), values)))
 
 
 def _numbers(name: str, cells: list[str], first_row: int) -> list[float]:

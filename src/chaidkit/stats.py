@@ -170,17 +170,16 @@ class ChiSquareResult:
 class CodedRecords:
     """Records coded once as integers, and the rows of them at one tree node.
 
-    ``classes`` orders the target classes and ``class_codes[i]`` is the
-    index of record ``i``'s class in it. For each coded column,
+    ``classes`` orders the target classes. For each coded column,
     ``categories[name]`` orders its categories and ``keys[name][i]`` is
-    ``category rank * len(classes) + class code`` of record ``i``, so
+    ``category rank * len(classes) + class code`` of record ``i``, the class
+    code being the index of its class in ``classes``, so
     :func:`build_contingency` counts a node's table in one pass over its
     keys. ``rows`` lists the indices of the node's records; :meth:`at`
     moves to another node without coding anything again.
     """
 
     classes: tuple[str, ...]
-    class_codes: list[int]
     categories: dict[str, tuple[str, ...]]
     keys: dict[str, list[int]]
     rows: Sequence[int]
@@ -234,7 +233,7 @@ class CodedRecords:
                 raise ChaidError(
                     f"category {exc.args[0]!r} is not declared for predictor {name!r}"
                 ) from None
-        return cls(classes, class_codes, categories, keys, range(len(labels)))
+        return cls(classes, categories, keys, range(len(labels)))
 
     @classmethod
     def from_records(
@@ -258,11 +257,6 @@ class CodedRecords:
     def at(self, rows: Sequence[int]) -> "CodedRecords":
         """The same coding at the node holding records ``rows``."""
         return replace(self, rows=rows)
-
-    def class_counts(self) -> dict[str, int]:
-        """The node's record count per observed class, in class order."""
-        counts = Counter(map(self.class_codes.__getitem__, self.rows))
-        return {cls: counts[code] for code, cls in enumerate(self.classes) if counts[code]}
 
     def partition_rows(
         self, name: str, groups: Sequence[Sequence[str]]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left
-from collections import deque
+from collections import Counter, deque
 from functools import partial
 from operator import itemgetter
 from typing import Mapping, Sequence
@@ -264,7 +264,8 @@ def grow_counting_every_node(
     while queue:
         node_id, depth, parent, rows = queue.popleft()
         node = root.at(rows)
-        class_counts = node.class_counts()
+        counts = Counter(str(records[i][target]) for i in rows)
+        class_counts = {cls: counts[cls] for cls in root.classes if counts[cls]}
         candidate = best_split(node, predictors, params) if len(class_counts) > 1 else None
         reason = should_stop(depth, len(rows), candidate, params)
         split = None

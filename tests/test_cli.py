@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import argparse
+import ast
 import contextlib
 import csv
 import hashlib
 import io
 import json
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -993,6 +995,44 @@ class TestInspect:
         assert len(lines) == 2 * depth + 1
         last = f"node {2 * depth} [n=1] x in {{b}}; terminal (max_depth) u:1"
         assert lines[-1] == "  " * depth + last
+
+    def test_class_names_that_need_quoting_print_one_line_per_node(self, tmp_path, capsys):
+        classes = ["un\rsold", "sold; fast", "a:b", '"slow"', "u"]
+        schema = write_schema(tmp_path / "schema.json", cat("x"), cat("y", role="target"))
+        data = tmp_path / "train.csv"
+        with open(data, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle, quoting=csv.QUOTE_ALL, lineterminator="\n")
+            writer.writerow(["x", "y"])
+            for i in range(150):
+                # Category c holds mostly class c, and a few rows of the next class.
+                c = i % 5
+                writer.writerow(["abcde"[c], classes[(c + (i % 6 == 0)) % 5]])
+        rc, model = train(tmp_path, schema, data)
+        assert rc == 0
+        trained = capsys.readouterr().out.splitlines()
+        assert main(["inspect", "--model", str(model)]) == 0
+        inspected = capsys.readouterr().out.splitlines()
+        tree = load_model(model)
+        leaves = tree.terminal_nodes()
+        assert tree.classes == tuple(sorted(classes)) and len(leaves) > 1
+        assert len(trained) == 2 + len(leaves)
+        assert len(inspected) == len(tree.nodes)
+        texts = [(int(line.split(":")[0][5:]), line.split(" ", 3)[3]) for line in trained[2:]]
+        for line in inspected:
+            if " terminal (" in line:
+                node_id = int(line.split()[1])
+                texts.append((node_id, line.split(") ", 1)[1]))
+        assert sorted(node_id for node_id, _ in texts) == sorted(2 * [n.id for n in leaves])
+        # A token is a quoted name and its p, or one run of non-space characters.
+        token = re.compile(r"""'(?:[^'\\]|\\.)*':\S+|"(?:[^"\\]|\\.)*":\S+|\S+""")
+        for node_id, text in texts:
+            tokens = token.findall(text)
+            assert " ".join(tokens) == text
+            names, ps = zip(*(t.rpartition(":")[::2] for t in tokens))
+            names = [ast.literal_eval(n) if n[:1] in "'\"" else n for n in names]
+            assert names == list(tree.classes)
+            dist = tree.distribution(node_id)
+            assert list(ps) == [f"{dist.probabilities[c]:.6g}" for c in tree.classes]
 
     def test_nested_json_is_one_error_line(self, tmp_path, capsys):
         model = tmp_path / "model.json"

@@ -680,6 +680,21 @@ class TestStreamedLoad:
 
     @settings(max_examples=400, deadline=None)
     @given(loader_inputs())
+    # Declared cuts, with a blank cell and a cell on a cut, read for prediction.
+    @example((
+        make_schema(
+            ColumnSpec("n", "predictor", "numeric", binning=BinningSpec(
+                "explicit_boundaries", boundaries=(0.0, 2.0)
+            )),
+            cat_col("y", role="target"),
+        ),
+        "n,y\n2,u\n,u\n0.5,v\n3,u\n", False, True, 1,
+    ))
+    # A categorical float predictor's blank cell, read for training with the raw rows kept.
+    @example((
+        make_schema(cat_col("f", scale=Scale.FLOAT), cat_col("y", role="target")),
+        "f,y\na,u\n,v\nb,u\n", True, True, 2,
+    ))
     def test_batches_give_the_whole_file_load(self, inputs):
         self.check(*inputs)
 
