@@ -104,14 +104,15 @@ def _fail(message: str) -> None:
     print(f"error: {flat}", file=sys.stderr)
 
 
-def _distribution_text(tree: Tree, node_id: int) -> str:
-    """A node's class probabilities as ``class:p`` pairs, in class order.
+def _shown(name: str, separators: str) -> str:
+    """``name``, or its repr if it holds a separator, a quote or an unprintable character."""
+    return repr(name) if set(name) & set(separators + "'\"") or not name.isprintable() else name
 
-    A class that holds a space, ``:``, a quote or an unprintable character is written as its repr.
-    """
+
+def _distribution_text(tree: Tree, node_id: int) -> str:
+    """A node's class probabilities as ``class:p`` pairs, in class order; see :func:`_shown`."""
     dist = tree.distribution(node_id)
-    names = [repr(c) if set(c) & set(" :'\"") or not c.isprintable() else c for c in tree.classes]
-    return " ".join(f"{n}:{dist.probabilities[c]:.6g}" for n, c in zip(names, tree.classes))
+    return " ".join(f"{_shown(c, ' :')}:{dist.probabilities[c]:.6g}" for c in tree.classes)
 
 
 def _split_predictors(tree: Tree) -> list[str]:
@@ -121,16 +122,15 @@ def _split_predictors(tree: Tree) -> list[str]:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    schema = load_schema(args.schema)
-    dataset = load_dataset(args.data, schema)
+    loaded = [load_dataset(args.data, load_schema(args.schema))]
     params = GrowthParams(**{f.name: getattr(args, f.name) for f in fields(GrowthParams)})
     if args.verbose:
         pairs = " ".join(f"{name}={value}" for name, value in asdict(params).items())
         print(f"params: {pairs}", file=sys.stderr)
-        for name, count in dataset.missing_counts.items():
+        for name, count in loaded[0].missing_counts.items():
             if count:
                 print(f"missing values in {name!r}: {count}", file=sys.stderr)
-    tree = train_tree(dataset, params)
+    tree = train_tree(loaded.pop(), params)  # held by train_tree alone, which lets it go once coded
     save_model(tree, args.model)
 
     terminals = tree.terminal_nodes()
@@ -210,8 +210,8 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         if node.split is not None:
             name = node.split.predictor
             print(f"{head}split on {name}")
-            edges = zip(node.children, node.split.partition.groups)
-            stack += reversed([(child, f" {name} in {{{', '.join(g)}}}") for child, g in edges])
+            parts = (", ".join(_shown(c, ",{}") for c in g) for g in node.split.partition.groups)
+            stack += reversed([(c, f" {name} in {{{p}}}") for c, p in zip(node.children, parts)])
         else:
             reason = node.stop_reason.value if node.stop_reason else "?"
             print(f"{head}terminal ({reason}) {_distribution_text(tree, node.id)}")

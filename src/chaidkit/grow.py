@@ -3,16 +3,15 @@
 The node loop runs over records coded once at the root: find the best
 split, apply the stop rules, and either close the node or fan its rows
 out to one child per category group. ``grow_tree`` codes in-memory
-records; ``train_tree`` codes a loaded dataset's label columns, carrying
-the dataset's schema echo into the model so predictions can be made from
-the model file alone.
+records; ``train_tree`` maps a loaded dataset's codes to category ranks,
+carrying the dataset's schema echo into the model so predictions can be
+made from the model file alone.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from functools import partial
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .core import GrowthParams, PredictorSpec, best_split, should_stop
 from .core import _child_tables, _count_tables
@@ -41,24 +40,13 @@ def grow_tree(
     label columns and coded once, at the root; every node is then a list
     of row indices into them.
     """
-    code = partial(CodedRecords.from_records, records, target, class_order=class_order)
-    return _grow(len(records), code, predictors, target, params, schema=None)
+    universes = _check(len(records), predictors, target)
+    root = CodedRecords.from_records(records, target, universes, class_order)
+    return _grow(root, predictors, target, params, schema=None)
 
 
-def _grow(
-    n_rows: int,
-    code: Callable[[Mapping[str, Sequence[str]]], CodedRecords],
-    predictors: Sequence[PredictorSpec],
-    target: str,
-    params: GrowthParams,
-    schema: dict | None,
-) -> Tree:
-    """The one check of training input, then the node loop over the coded root's row indices.
-
-    The checks run in this order, all before ``code`` maps each predictor
-    to its categories and codes the root: no rows, no predictors, a
-    duplicate predictor name, the target among the predictors.
-    """
+def _check(n_rows: int, predictors: Sequence[PredictorSpec], target: str) -> dict:
+    """The one check of training input, made before coding; gives each predictor's categories."""
     if not n_rows:
         raise ChaidError("empty dataset")
     if not predictors:
@@ -68,7 +56,18 @@ def _grow(
         raise ChaidError("duplicate predictor name")
     if target in names:
         raise ChaidError(f"target {target!r} is also declared as a predictor")
-    root = code({spec.name: spec.categories for spec in predictors})
+    return {spec.name: spec.categories for spec in predictors}
+
+
+def _grow(
+    root: CodedRecords,
+    predictors: Sequence[PredictorSpec],
+    target: str,
+    params: GrowthParams,
+    schema: dict | None,
+) -> Tree:
+    """The node loop over the coded root's row indices."""
+    names = [spec.name for spec in predictors]
     nodes: list[TreeNode] = []
     next_id = 1
     # A queued node carries its tables by predictor name: the root's counted here,
@@ -119,7 +118,9 @@ def _grow(
 
 def train_tree(dataset: Dataset, params: GrowthParams = GrowthParams()) -> Tree:
     """Grow a tree from a loaded dataset, embedding its schema echo."""
-    predictors = dataset.predictor_specs()
-    target = dataset.schema.target.name
-    code = partial(CodedRecords.encode, dataset.columns, target, class_order=dataset.classes)
-    return _grow(dataset.n_rows, code, predictors, target, params, dataset.schema_echo())
+    predictors, target = dataset.predictor_specs(), dataset.schema.target.name
+    classes, schema = dataset.classes, dataset.schema_echo()
+    universes = _check(dataset.n_rows, predictors, target)
+    root = CodedRecords.encode(dataset.columns, target, universes, classes)
+    del dataset  # growth holds the coded root alone
+    return _grow(root, predictors, target, params, schema)

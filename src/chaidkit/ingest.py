@@ -2,7 +2,7 @@
 
 A schema declares each column's role (target, predictor, ignored), kind
 (categorical or numeric), scale, and, for numeric columns, a binning rule.
-Loading turns every parsed column into category labels: numeric values are
+Loading codes every parsed column's category labels: numeric values are
 binned into interval labels "1".."k", blank cells of a float-scale
 predictor become its floating category (blank cells of other predictors
 become the missing label at prediction time), and the realized bin
@@ -25,14 +25,14 @@ from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import count, islice, repeat
+from itertools import chain, count, islice, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .core import MISSING_LABEL, PredictorSpec
 from .errors import DataError, _doc, _number, _text
-from .stats import Scale
+from .stats import CodedColumns, Scale, _compact
 
 __all__ = [
     "BinningSpec",
@@ -337,17 +337,17 @@ class Dataset:
     """Loaded, fully categorical columns plus everything needed to rebuild them.
 
     ``columns`` maps each parsed column to its labels, in row order, over
-    ``n_rows`` rows; :meth:`iter_records` and :attr:`records` build one
-    dict per row from them on demand. ``boundaries`` maps each parsed
-    numeric column to its realized bin boundaries; ``missing_counts``
-    reports per-column missing cells (for a float-scale predictor these
-    became its floating category). ``header`` and ``raw_rows`` are kept
-    only when loading asked for them, so prediction output can echo the
-    input verbatim.
+    ``n_rows`` rows, held by a loaded dataset as :class:`CodedColumns`;
+    :meth:`iter_records` and :attr:`records` build one dict per row from
+    them on demand. ``boundaries`` maps each parsed numeric column to its
+    realized bin boundaries; ``missing_counts`` reports per-column missing
+    cells (for a float-scale predictor these became its floating
+    category). ``header`` and ``raw_rows`` are kept only when loading
+    asked for them, so prediction output can echo the input verbatim.
     """
 
     schema: DatasetSchema
-    columns: dict[str, list[str]]
+    columns: Mapping[str, Sequence[str]]
     n_rows: int
     boundaries: dict[str, tuple[float, ...]]
     missing_counts: dict[str, int]
@@ -385,8 +385,9 @@ class Dataset:
         """
         if col.kind == "numeric":
             labels = _bin_labels(self.boundaries.get(col.name, ()))
-        else:
-            labels = col.categories or sorted(set(self.columns.get(col.name, ())))
+        else:  # a categorical column's labels by code are those its rows hold
+            names = CodedColumns.of(self.columns).data.get(col.name, ((), ()))[0]
+            labels = col.categories or sorted(set(names))
         floating = () if col.float_category is None else (col.float_category,)
         ordered = tuple(label for label in labels if label not in floating) + floating
         return ordered if ordered or col.role == "target" else (MISSING_LABEL,)
@@ -545,7 +546,7 @@ class _Labeler:
         boundaries: dict[str, tuple[float, ...]] = {}
         return Dataset(
             schema=self.schema,
-            columns={column.col.name: column.labels(boundaries) for column in self.columns},
+            columns=CodedColumns({c.col.name: c.coded(boundaries) for c in self.columns}),
             n_rows=self.n_rows,
             boundaries=boundaries,
             missing_counts={column.col.name: column.missing for column in self.columns},
@@ -555,9 +556,9 @@ class _Labeler:
 
 
 class _Column:
-    """One parsed column between batches: what labeling needs, and its faults so far.
+    """One parsed column between batches: what coding needs, and its faults so far.
 
-    A categorical column keeps its labels, one shared ``str`` per label. A
+    A categorical column codes each batch as it comes, through one dict. A
     numeric column keeps its numbers in an array, a blank cell as +inf,
     which no cell parses to, and is binned once every row is in.
     """
@@ -571,8 +572,8 @@ class _Column:
         self.blank_rows: list[str] = []  # the first few, where a blank cell is a fault
         self.undeclared_cells: list[str] = []  # the first few
         self.fault: DataError | None = None  # the first cell that is no finite number
-        self.values: array[float] | list[str] = array("d") if col.kind == "numeric" else []
-        self.shared = {"": self.blank}
+        self.values: array | list = array("d") if col.kind == "numeric" else []  # or coded batches
+        self.code, self.labels = {}, {}  # cell to code and label to code; "" codes as its label
         self.declared: set[str] | None = None
         if col.categories is not None and require_target:
             # Blank cells become the floating category; it may be written too.
@@ -597,7 +598,9 @@ class _Column:
                 numbers = [next(rest) if cell else math.inf for cell in cells]
             self.values.fromlist(numbers)
         elif self.declared is None or self.declared.issuperset(cells):
-            self.values += map(self.shared.setdefault, cells, cells)
+            for cell in set(cells).difference(self.code):
+                self.code[cell] = self.labels.setdefault(cell or self.blank, len(self.labels))
+            self.values.append(_compact(map(self.code.__getitem__, cells), len(self.labels)))
         else:
             outside = [
                 f"{cell!r} at row {n}"
@@ -619,20 +622,21 @@ class _Column:
             return f"column {self.col.name!r}: undeclared category {shown}"
         return None
 
-    def labels(self, boundaries: dict[str, tuple[float, ...]]) -> list[str]:
-        """The column's labels in row order; a numeric column's cuts go into ``boundaries``."""
+    def coded(self, boundaries: dict[str, tuple[float, ...]]) -> tuple[list[str], Sequence[int]]:
+        """Labels by code and codes in row order; a numeric column's cuts go into ``boundaries``."""
         values, self.values = self.values, []
         binning = self.col.binning
         if binning is None:
-            return values
+            return list(self.labels), _compact(chain.from_iterable(values), len(self.labels))
         bounds = binning.boundaries
         if bounds is None:
             numbers = list(filter(math.isfinite, values)) if self.missing else values
             bounds = _compute_boundaries(numbers, binning)
         boundaries[self.col.name] = bounds
         # A last cut at the largest float puts every number below a blank cell's +inf.
-        cuts, names = (*bounds, sys.float_info.max), _bin_labels(bounds) + [self.blank]
-        return list(map(names.__getitem__, map(partial(bisect_left, cuts), values)))
+        cuts = (*bounds, sys.float_info.max)
+        names = _bin_labels(bounds) + [self.blank] * bool(self.missing)
+        return names, _compact(map(partial(bisect_left, cuts), values), len(cuts) + 1)
 
 
 def _numbers(name: str, cells: list[str], first_row: int) -> list[float]:

@@ -11,11 +11,12 @@ no synchronisation.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from array import array
+from collections import Counter, UserDict
 from dataclasses import dataclass, replace
 from enum import Enum
-from operator import itemgetter
-from typing import Mapping, Sequence
+from operator import add, itemgetter
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ChaidError
 
@@ -166,6 +167,26 @@ class ChiSquareResult:
             raise ChaidError("log p-value above 0")
 
 
+def _compact(values: Iterable[int], size: int) -> Sequence[int]:
+    """``values``, each below ``size``, as ``bytes`` for a size up to 256, else ``array('I')``."""
+    return bytes(values) if size <= 256 else array("I", values)
+
+
+class CodedColumns(UserDict):
+    """Columns as ``data[name]``: labels by code and a code per row; a read rebuilds the labels."""
+
+    @classmethod
+    def of(cls, columns: Mapping[str, Sequence[str]]) -> "CodedColumns":
+        """``columns``, coded unless it is already: a label column's code for a row is the row."""
+        if isinstance(columns, cls):
+            return columns
+        return cls({name: (labels, range(len(labels))) for name, labels in columns.items()})
+
+    def __getitem__(self, name: str) -> list:
+        names, codes = self.data[name]
+        return list(map(names.__getitem__, codes))
+
+
 @dataclass(frozen=True)
 class CodedRecords:
     """Records coded once as integers, and the rows of them at one tree node.
@@ -175,13 +196,14 @@ class CodedRecords:
     ``category rank * len(classes) + class code`` of record ``i``, the class
     code being the index of its class in ``classes``, so
     :func:`build_contingency` counts a node's table in one pass over its
-    keys. ``rows`` lists the indices of the node's records; :meth:`at`
-    moves to another node without coding anything again.
+    keys, held as ``bytes`` where they fit. ``rows`` lists the indices of
+    the node's records; :meth:`at` moves to another node without coding
+    anything again.
     """
 
     classes: tuple[str, ...]
     categories: dict[str, tuple[str, ...]]
-    keys: dict[str, list[int]]
+    keys: dict[str, Sequence[int]]
     rows: Sequence[int]
 
     @classmethod
@@ -208,32 +230,34 @@ class CodedRecords:
             if name not in columns:
                 what = "the target column" if name == target else "column"
                 raise ChaidError(f"record 0 is missing {what} {name!r}")
-        labels = columns[target]
+        coded = CodedColumns.of(columns)
         if class_order is None:
-            classes = tuple(sorted(set(labels)))
+            classes = tuple(sorted(set(coded[target])))
         else:
             classes = tuple(str(c) for c in class_order)
             if len(set(classes)) != len(classes):
                 raise ChaidError("duplicate class in class order")
+        names, codes = coded.data[target]
         code = {label: i for i, label in enumerate(classes)}
         try:
-            class_codes = list(map(code.__getitem__, labels))
+            class_codes = _compact(map([code[n] for n in names].__getitem__, codes), len(classes))
         except KeyError as exc:
             raise ChaidError(f"target class {exc.args[0]!r} not in declared class order") from None
         categories: dict[str, tuple[str, ...]] = {}
-        keys: dict[str, list[int]] = {}
+        keys: dict[str, Sequence[int]] = {}
         for name, universe in universes.items():
-            values = columns[name]
-            cats = tuple(sorted(set(values))) if universe is None else tuple(universe)
-            base = {cat: rank * len(classes) for rank, cat in enumerate(cats)}
+            cats = tuple(sorted(set(coded[name]))) if universe is None else tuple(universe)
             categories[name] = cats
+            names, codes = coded.data[name]
+            base = {cat: rank * len(classes) for rank, cat in enumerate(cats)}
             try:
-                keys[name] = [base[v] + c for v, c in zip(values, class_codes)]
+                bases = [base[n] for n in names]
             except KeyError as exc:
-                raise ChaidError(
-                    f"category {exc.args[0]!r} is not declared for predictor {name!r}"
-                ) from None
-        return cls(classes, categories, keys, range(len(labels)))
+                fault = f"category {exc.args[0]!r} is not declared for predictor {name!r}"
+                raise ChaidError(fault) from None
+            size = len(cats) * len(classes)
+            keys[name] = _compact(map(add, map(bases.__getitem__, codes), class_codes), size)
+        return cls(classes, categories, keys, range(len(class_codes)))
 
     @classmethod
     def from_records(

@@ -15,6 +15,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import weakref
 from dataclasses import asdict, fields
 from pathlib import Path
 from unittest import mock
@@ -23,6 +24,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import chaidkit.grow
 from chaidkit import Scale, Tree, load_model, save_model
 from chaidkit import ingest
 from chaidkit.cli import build_parser, entrypoint, main
@@ -206,6 +208,29 @@ class TestTrain:
         rc, _ = train(tmp_path, schema, data, "--verbose")
         assert rc == 0
         assert "missing values in 'x': 10" in capsys.readouterr().err.splitlines()
+
+    @pytest.mark.skipif(
+        sys.version_info < (3, 11), reason="before 3.11 a call's arguments stay on its caller's stack"
+    )
+    def test_growth_holds_no_reference_to_the_dataset(self, tmp_path, perfect):
+        schema, data = perfect
+        loaded, alive = [], []
+        load, grow = ingest.load_dataset, chaidkit.grow._grow
+
+        def loading(*args, **kwargs):
+            dataset = load(*args, **kwargs)
+            loaded.append(weakref.ref(dataset))
+            return dataset
+
+        def growing(root, *rest):
+            alive.append(loaded[0]() is not None)
+            return grow(root, *rest)
+
+        with mock.patch("chaidkit.cli.load_dataset", loading), mock.patch.object(
+            chaidkit.grow, "_grow", growing
+        ):
+            rc, _ = train(tmp_path, schema, data)
+        assert rc == 0 and alive == [False]
 
     def test_bad_data_is_one_error_line(self, tmp_path, perfect, capsys):
         schema, _ = perfect
@@ -1033,6 +1058,39 @@ class TestInspect:
             assert names == list(tree.classes)
             dist = tree.distribution(node_id)
             assert list(ps) == [f"{dist.probabilities[c]:.6g}" for c in tree.classes]
+
+    def test_split_categories_that_need_quoting_print_one_line_per_node(self, tmp_path, capsys):
+        categories = ["a\rb", "c, d}", "e"]
+        schema = write_schema(tmp_path / "schema.json", cat("x"), cat("y", role="target"))
+        data = tmp_path / "train.csv"
+        with open(data, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle, quoting=csv.QUOTE_ALL, lineterminator="\n")
+            writer.writerow(["x", "y"])
+            for i in range(150):
+                # Category c holds mostly class c, and a few rows of the next class.
+                c = i % 3
+                writer.writerow([categories[c], "uvw"[(c + (i % 10 == 0)) % 3]])
+        rc, model = train(tmp_path, schema, data)
+        assert rc == 0
+        capsys.readouterr()
+        assert main(["inspect", "--model", str(model)]) == 0
+        inspected = capsys.readouterr().out.splitlines()
+        tree = load_model(model)
+        assert len(tree.nodes) == 4 and len(inspected) == len(tree.nodes)
+        # A category is a quoted repr or a run of characters up to ", " or "}".
+        token = re.compile(r"""'(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*"|[^,}]+""")
+        for line in inspected[1:]:
+            node_id = int(line.split()[1])
+            edge = re.fullmatch(r" *node \d+ \[n=\d+\] x in \{(.*)\}; terminal .*", line)
+            assert edge is not None, line
+            tokens = token.findall(edge.group(1))
+            assert ", ".join(tokens) == edge.group(1)
+            shown = [ast.literal_eval(t) if t[:1] in "'\"" else t for t in tokens]
+            parent = tree.node(tree.node(node_id).parent)
+            group = parent.split.partition.groups[parent.children.index(node_id)]
+            assert shown == list(group)
+        edges = {line.split("] ", 1)[1].split("; terminal")[0] for line in inspected[1:]}
+        assert edges == {"x in {'a\\rb'}", "x in {'c, d}'}", "x in {e}"}
 
     def test_nested_json_is_one_error_line(self, tmp_path, capsys):
         model = tmp_path / "model.json"

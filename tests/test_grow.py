@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import random
+from array import array
 from unittest import mock
 
 import pytest
@@ -25,7 +26,7 @@ from chaidkit import (
     train_tree,
 )
 from chaidkit.core import MISSING_LABEL, StopReason
-from chaidkit.ingest import ColumnSpec, DatasetSchema
+from chaidkit.ingest import BinningSpec, ColumnSpec, DatasetSchema
 from conftest import coded, grow_counting_every_node, partition_count_oracle
 
 
@@ -275,6 +276,75 @@ class TestSubtraction:
         assert len(made) == len(children)
         for child, child_tables in zip(children, made):
             assert child_tables == {n: _counted(child, n) for n in names}
+
+
+@st.composite
+def coding_inputs(draw):
+    """A schema and CSV text that load for training; a wide column may pass 256 categories.
+
+    Predictors are numeric or categorical on any scale, with declared or
+    observed categories; only a float-scale predictor has blank cells, and
+    a categorical one may also write its floating category. The target is
+    numeric or categorical.
+    """
+    wide = draw(st.integers(0, 3)) == 0
+    n_rows = draw(st.integers(257, 300) if wide else st.integers(1, 30))
+    columns, pools = [], {}
+    for j in range(draw(st.integers(1, 3)) + 1):
+        role = "target" if j == 0 else "predictor"
+        scale = None if role == "target" else draw(st.sampled_from(list(Scale)))
+        floating = draw(st.sampled_from([None, "z"])) if scale is Scale.FLOAT else None
+        if draw(st.booleans()):
+            bins = draw(st.sampled_from([2, 4, 300] if wide else [2, 4]))
+            strategy = draw(st.sampled_from(["equal_frequency", "equal_width", "explicit"]))
+            binning = (
+                BinningSpec("explicit_boundaries", boundaries=(0.0, 2.0))
+                if strategy == "explicit"
+                else BinningSpec(strategy, bin_count=bins)
+            )
+            column = ColumnSpec(f"n{j}", role, "numeric", scale, binning, None, floating)
+            pool = [str(i) for i in range(n_rows)] if wide else ["0", "1", "2.5", "-3", "7"]
+        else:
+            declared = draw(st.sampled_from([None, ("a", "b"), ("b", "a", "c")]))
+            column = ColumnSpec(f"c{j}", role, "categorical", scale, None, declared, floating)
+            pool = list(declared or ([f"w{i}" for i in range(n_rows)] if wide else "abcd"))
+        columns.append(column)
+        blanks = ["", column.float_category] if column.kind == "categorical" else [""]
+        pools[column.name] = pool + blanks * (scale is Scale.FLOAT)
+    schema = DatasetSchema(tuple(draw(st.permutations(columns))))
+    names = [col.name for col in schema.columns]
+    rows = [
+        [draw(st.sampled_from(pools[name])) for name in names] for _ in range(n_rows)
+    ]
+    return schema, ",".join(names) + "\n" + "".join(",".join(row) + "\n" for row in rows)
+
+
+class TestCodingEntryPoints:
+    """Training codes the loader's codes as ``CodedRecords.encode`` codes the label columns."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(coding_inputs())
+    def test_the_loaders_codes_give_the_label_columns_coding(self, inputs):
+        schema, text = inputs
+        dataset = load_dataset(io.StringIO(text), schema)
+        with mock.patch.object(chaidkit.grow, "_grow", lambda root, *rest: root):
+            root = train_tree(dataset)
+        target = schema.target.name
+        labels = dict(dataset.columns)  # each column's labels, rebuilt from its codes
+        universes = {spec.name: spec.categories for spec in dataset.predictor_specs()}
+        coded = CodedRecords.encode(labels, target, universes, class_order=dataset.classes)
+        assert root.classes == coded.classes == dataset.classes
+        assert root.categories == coded.categories == universes
+        assert root.rows == coded.rows == range(dataset.n_rows)
+        n_classes = len(root.classes)
+        for name, keys in root.keys.items():
+            cats = root.categories[name]
+            expected = [
+                cats.index(v) * n_classes + root.classes.index(c)
+                for v, c in zip(labels[name], labels[target])
+            ]
+            assert list(keys) == list(coded.keys[name]) == expected
+            assert isinstance(keys, bytes if len(cats) * n_classes <= 256 else array)
 
 
 class TestGrowValidation:
