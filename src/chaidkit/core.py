@@ -25,6 +25,7 @@ from .stats import (
     Scale,
     bonferroni_multiplier,
     build_contingency,
+    chi_square_log_p_series,
     chi_square_log_p_value,
     chi_square_p_value,
     chi_square_test,
@@ -185,22 +186,35 @@ class StopReason(str, Enum):
     WOULD_CREATE_SMALL_CHILD = "would_create_small_child"
 
 
-def _pair_p_value(row_a: Sequence[int], row_b: Sequence[int]) -> float:
+def _pair_p_value(row_a: Sequence[int], row_b: Sequence[int], alpha_merge: float) -> float:
     """p-value of the 2 x J test between two merged-category count rows.
 
-    Columns empty across both rows are dropped first. A sub-table with
-    fewer than two populated columns carries no evidence that the rows
-    differ, so it reports p = 1.0, the most mergeable value.
+    Columns empty across both rows are dropped; with fewer than two left, the
+    rows show no difference, p = 1.0. X² is summed in one pass from the terms
+    :func:`pearson_statistic` would form. Where Chernoff's tail bound
+    (x/k)^(k/2) e^((k-x)/2), for x = X² > k = df, puts p at or below ``alpha_merge``,
+    the pair cannot merge, and 0.0 stands in for its p-value.
     """
-    obs_a = []
-    obs_b = []
-    for a, b in zip(row_a, row_b):
-        if a + b > 0:
-            obs_a.append(a)
-            obs_b.append(b)
-    if len(obs_a) < 2 or not any(obs_a) or not any(obs_b):
+    total_a, total_b = sum(row_a), sum(row_b)
+    if not total_a or not total_b:
         return 1.0
-    return chi_square_p_value(pearson_statistic((obs_a, obs_b)), len(obs_a) - 1)
+    grand = total_a + total_b
+    terms = []
+    for a, b in zip(row_a, row_b):
+        if a or b:
+            expected = total_a * (a + b) / grand
+            diff = a - expected
+            terms.append(diff * diff / expected)
+            expected = total_b * (a + b) / grand
+            diff = b - expected
+            terms.append(diff * diff / expected)
+    k = len(terms) // 2 - 1
+    if not k:
+        return 1.0
+    x = math.fsum(terms)
+    if x > k and k * math.log(x / k) + k - x < 2.0 * (math.log(alpha_merge) - 1e-9):
+        return 0.0
+    return chi_square_p_value(x, k)
 
 
 def _node_scale(table: ContingencyTable, predictor: PredictorSpec) -> Scale:
@@ -238,7 +252,8 @@ def merge_categories(
     Adjacency is taken over the categories observed at the node, so the
     returned groups are contiguous runs of the observed order. Ties on the
     largest p-value break toward the earliest pair in group order. A pair's
-    p-value is computed once and kept until one of its two groups merges.
+    p-value is computed once and kept until one of its two groups merges; a
+    pair that provably cannot merge keeps a stand-in at or below ``alpha_merge``.
     """
     rank = {cat: i for i, cat in enumerate(predictor.categories)}
     for label in table.row_labels:
@@ -268,7 +283,7 @@ def merge_categories(
         for a, b in pairs:
             s, t = spans.get(a), spans.get(b)
             if free or not s or not t or s[1] + 1 == t[0] or t[1] + 1 == s[0]:
-                p[a, b] = _pair_p_value(counts[a], counts[b])
+                p[a, b] = _pair_p_value(counts[a], counts[b], alpha_merge)
 
     if len(members) > 2:
         test((a, b) for a in members for b in members if a < b)
@@ -328,8 +343,17 @@ def _score(table: ContingencyTable, predictor: PredictorSpec, alpha_merge: float
 
 @functools.cache
 def _log_multipliers(scale: Scale, c: int) -> tuple[float, ...]:
-    """log ``bonferroni_multiplier(scale, c, r)`` for r = 2..c, at index r - 2."""
-    return tuple(math.log(bonferroni_multiplier(scale, c, r)) for r in range(2, c + 1))
+    """log ``bonferroni_multiplier(scale, c, r)`` for r = 2..c, at index r - 2.
+
+    The free scale's S(c, r) come from one exact row carried from S(1, 1) by
+    S(n, k) = k S(n-1, k) + S(n-1, k-1), not from an alternating sum per r.
+    """
+    if scale is not Scale.FREE:
+        return tuple(math.log(bonferroni_multiplier(scale, c, r)) for r in range(2, c + 1))
+    row = [1]
+    for n in range(2, c + 1):
+        row = [k * s + t for k, s, t in zip(range(1, n + 1), row + [0], [0] + row)]
+    return tuple(map(math.log, row[1:]))
 
 
 def _statistic_caps(table: ContingencyTable, statistic: float) -> list[float]:
@@ -370,19 +394,22 @@ def _statistic_caps(table: ContingencyTable, statistic: float) -> list[float]:
 
 
 def _log_p_bounds(
-    table: ContingencyTable, predictor: PredictorSpec, statistics: Iterable[float]
+    table: ContingencyTable, predictor: PredictorSpec, statistics: float | Iterable[float]
 ) -> list[float]:
     """The least log adjusted p-values of merging ``table``'s rows into r = 2, 3, ... groups.
 
-    ``statistics`` bounds Pearson's statistic at each r. The table's X² does at every r: merging
-    never raises it, (a+b)^2/(r_a+r_b) <= a^2/r_a + b^2/r_b by Cauchy-Schwarz, nor changes the
+    ``statistics`` bounds Pearson's statistic at each r, in turn, or is one float for all r,
+    whose tails come from one series. The table's X² bounds it at every r: merging never
+    raises it, (a+b)^2/(r_a+r_b) <= a^2/r_a + b^2/r_b by Cauchy-Schwarz, nor changes the
     columns, and the tail rises with df.
     """
-    multipliers = enumerate(_log_multipliers(_node_scale(table, predictor), table.n_rows), 2)
-    return [
-        log_multiplier + chi_square_log_p_value(statistic, (r - 1) * (table.n_cols - 1))
-        for (r, log_multiplier), statistic in zip(multipliers, statistics)
-    ]
+    step, n = table.n_cols - 1, table.n_rows - 1
+    if isinstance(statistics, float):
+        tails = chi_square_log_p_series(statistics, step, n)
+    else:
+        tails = map(chi_square_log_p_value, statistics, range(step, n * step + 1, step))
+    multipliers = _log_multipliers(_node_scale(table, predictor), table.n_rows)
+    return list(map(operator.add, multipliers, tails))
 
 
 def _count_tables(node: CodedRecords, names: Iterable[str]) -> dict[str, ContingencyTable]:
@@ -454,7 +481,7 @@ def best_split(
         table = tables[predictor.name] if tables else build_contingency(node, predictor.name)
         if table.n_rows >= 2 and table.n_cols >= 2:
             x2 = pearson_statistic(table.counts)
-            bounds = _log_p_bounds(table, predictor, itertools.repeat(x2))
+            bounds = _log_p_bounds(table, predictor, x2)
             # At r = c the multiplier is 1, so the bound is at most 0, as the key it bounds is.
             bounded.append((min(bounds), position, table, predictor, x2, bounds))
     best, rank = None, None

@@ -26,6 +26,7 @@ __all__ = [
     "ChiSquareResult",
     "CodedRecords",
     "build_contingency",
+    "chi_square_log_p_series",
     "chi_square_log_p_value",
     "chi_square_p_value",
     "chi_square_test",
@@ -374,6 +375,44 @@ def chi_square_log_p_value(statistic: float, df: int) -> float:
         high, low = max(log_q, log_erfc), min(log_q, log_erfc)
         log_q = high + math.log1p(math.exp(low - high))
     return min(0.0, log_q)
+
+
+def chi_square_log_p_series(statistic: float, step: int, n: int) -> list[float]:
+    """:func:`chi_square_log_p_value` at one statistic for df = step, 2 step, ..., n step.
+
+    The tails of one df parity share their terms, so they are read off one running sum, taken
+    about its largest term as there. The terms past that one are added forward here, backward
+    there, so each log agrees with the single tail to a few units in its last place.
+    """
+    if not 0.0 <= statistic < math.inf or step < 1 or n < 1:
+        raise ChaidError("invalid test input")
+    x, tails = statistic / 2.0, [0.0] * n
+    if x == 0.0:
+        return tails
+    log_x, log_erfc = math.log(x), _log_erfc_sqrt(x) if step % 2 else 0.0
+    stride = 1 + step % 2  # an odd step alternates the parity of df
+    for start in range(stride):
+        first = (start + 1) * step % 2 / 2.0
+        peak = max(0, math.floor(x - first))
+        # The sums of the terms before and after the peak, and the last term, over the peak's.
+        below = above = 0.0
+        ratio, summed = 1.0, 1
+        for m in range(start, n, stride):
+            count = (m + 1) * step // 2
+            for i in range(summed, min(count, peak + 1)):
+                below = (1.0 + below) * (first + i) / x
+            for i in range(max(summed, peak + 1), count):
+                ratio *= x / (first + i)
+                above += ratio
+            summed = max(summed, count)
+            a, log_q = first + min(count - 1, peak), -math.inf
+            if count:
+                log_q = a * log_x - x - math.lgamma(a + 1.0) + math.log1p(below + above)
+            if first:
+                high, low = max(log_q, log_erfc), min(log_q, log_erfc)
+                log_q = high + math.log1p(math.exp(low - high))
+            tails[m] = min(0.0, log_q)
+    return tails
 
 
 def _log_erfc_sqrt(x: float) -> float:

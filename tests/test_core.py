@@ -27,7 +27,7 @@ from chaidkit import (
     merge_categories,
 )
 from chaidkit.core import CategoryPartition, SplitCandidate, StopReason, _adjusted_p, should_stop
-from chaidkit.stats import pearson_statistic
+from chaidkit.stats import bonferroni_multiplier, chi_square_p_value, pearson_statistic
 from conftest import (
     _set_partitions,
     coded,
@@ -227,13 +227,15 @@ class TestMergeCategories:
         scale = data.draw(st.sampled_from([Scale.MONOTONIC, Scale.FREE, Scale.FLOAT]))
         float_cat = data.draw(st.sampled_from(cats)) if scale is Scale.FLOAT else None
         classes = ["u", "v", "w"][: data.draw(st.integers(2, 3))]
-        cell = st.one_of(st.just(0), st.integers(0, 3), st.integers(0, 60))
+        # Cells up to 500 and alpha_merge = 0.001 make pairs that provably
+        # cannot merge common, so the pair test's stand-in p-value is met often.
+        cell = st.one_of(st.just(0), st.integers(0, 3), st.integers(0, 60), st.integers(0, 500))
         grid = [[data.draw(cell) for _ in classes] for _ in cats]
         if not any(map(any, grid)):
             grid[0][0] = 1
         table = ContingencyTable.from_counts(cats, classes, grid)
         predictor = spec(cats, scale, float_category=float_cat)
-        alpha_merge = data.draw(st.sampled_from([0.05, 0.5, 0.95]))
+        alpha_merge = data.draw(st.sampled_from([0.001, 0.05, 0.5, 0.95]))
         with mock.patch.object(
             chaidkit.core, "_pair_p_value", wraps=chaidkit.core._pair_p_value
         ) as pair_test:
@@ -242,6 +244,86 @@ class TestMergeCategories:
         assert partition.groups == groups
         # One test per distinct pair of groups the oracle tests over all its rounds.
         assert pair_test.call_count == len(tested)
+
+
+@st.composite
+def row_pairs(draw):
+    """Two count rows over one to eight classes, some columns empty in both, some rows empty.
+
+    The second row is drawn on its own, or is the first with each cell
+    nudged, a pair much alike, or rotated, a pair that may lie far apart.
+    """
+    n_cols = draw(st.integers(1, 8))
+    cell = st.one_of(st.just(0), st.integers(0, 5), st.integers(0, 60), st.integers(0, 500))
+    row_a = [draw(cell) for _ in range(n_cols)]
+    shift = draw(st.one_of(st.none(), st.integers(0, n_cols - 1)))
+    if shift is None:
+        row_b = [draw(cell) for _ in range(n_cols)]
+    else:
+        row_b = [x + draw(st.integers(0, 3)) for x in row_a[shift:] + row_a[:shift]]
+    for j in draw(st.sets(st.integers(0, n_cols - 1), max_size=n_cols // 3)):
+        row_a[j] = row_b[j] = 0
+    return row_a, row_b
+
+
+def _pearson_pair(row_a, row_b):
+    """``pearson_statistic`` and df of the pair with its empty columns dropped, or None."""
+    columns = [(a, b) for a, b in zip(row_a, row_b) if a + b]
+    if len(columns) < 2 or not sum(a for a, _ in columns) or not sum(b for _, b in columns):
+        return None
+    return pearson_statistic(list(zip(*columns))), len(columns) - 1
+
+
+def _provably_below(x, k, alpha_merge):
+    """Chernoff's bound on the tail at statistic x on k df, in logs, lies below log alpha_merge."""
+    return x > k and (k * math.log(x / k) + k - x) / 2 < math.log(alpha_merge) - 1e-9
+
+
+class TestPairTest:
+    @given(row_pairs(), st.sampled_from([1e-6, 0.05, 0.5, 0.95]))
+    @settings(max_examples=400, deadline=None)
+    def test_the_statistic_is_pearsons_bit_for_bit(self, rows, alpha_merge):
+        with mock.patch.object(
+            chaidkit.core, "chi_square_p_value", wraps=chaidkit.core.chi_square_p_value
+        ) as tail:
+            p = chaidkit.core._pair_p_value(*rows, alpha_merge)
+        reference = _pearson_pair(*rows)
+        if reference is None:
+            assert p == 1.0 and not tail.called
+        elif _provably_below(*reference, alpha_merge):
+            # Decided at Pearson's statistic: the stand-in, with no tail taken.
+            assert p == 0.0 and not tail.called
+        else:
+            (statistic, df), _ = tail.call_args
+            assert (statistic.hex(), df) == (reference[0].hex(), reference[1])
+            assert p == chi_square_p_value(*reference)
+
+    @given(row_pairs(), st.sampled_from([1e-6, 0.05, 0.5, 0.95]))
+    @settings(max_examples=400, deadline=None)
+    def test_the_stand_in_is_given_only_where_the_pair_cannot_merge(self, rows, alpha_merge):
+        p = chaidkit.core._pair_p_value(*rows, alpha_merge)
+        reference = _pearson_pair(*rows)
+        if p == 0.0:
+            assert chi_square_p_value(*reference) <= alpha_merge
+
+    def test_a_pair_far_apart_takes_no_tail(self):
+        with mock.patch.object(
+            chaidkit.core, "chi_square_p_value", wraps=chaidkit.core.chi_square_p_value
+        ) as tail:
+            assert chaidkit.core._pair_p_value([100, 0, 0], [0, 100, 0], 0.05) == 0.0
+            assert not tail.called
+            p = chaidkit.core._pair_p_value([10, 12, 0], [11, 10, 0], 0.05)
+        assert p == chi_square_p_value(pearson_statistic([[10, 12], [11, 10]]), 1) > 0.05
+        assert tail.call_count == 1
+
+
+class TestLogMultipliers:
+    @pytest.mark.parametrize("scale", list(Scale))
+    def test_equal_to_the_log_of_the_exact_multiplier(self, scale):
+        for c in range(1, 61):
+            assert chaidkit.core._log_multipliers(scale, c) == tuple(
+                math.log(bonferroni_multiplier(scale, c, r)) for r in range(2, c + 1)
+            )
 
 
 class TestEvaluatePredictor:
@@ -443,9 +525,10 @@ def _key(candidate):
 def _bound(table, predictor, capped=False):
     """The least log adjusted p-value ``best_split`` bounds a predictor by, capped or not."""
     statistic = pearson_statistic(table.counts)
-    statistics = chaidkit.core._statistic_caps(table, statistic) if capped else []
-    statistics += [statistic] * (table.n_rows - 1 - len(statistics))
-    return min(chaidkit.core._log_p_bounds(table, predictor, statistics))
+    if capped:  # the caps below J groups, the table's X² from J on, each with a tail of its own
+        caps = chaidkit.core._statistic_caps(table, statistic)
+        statistic = caps + [statistic] * (table.n_rows - 1 - len(caps))
+    return min(chaidkit.core._log_p_bounds(table, predictor, statistic))
 
 
 def _reference_best_split(node, predictors, params):

@@ -10,7 +10,7 @@ from decimal import Decimal, localcontext
 import mpmath
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chaidkit import (
@@ -23,7 +23,7 @@ from chaidkit import (
     chi_square_p_value,
     chi_square_test,
 )
-from chaidkit.stats import ChiSquareResult, chi_square_log_p_value
+from chaidkit.stats import ChiSquareResult, chi_square_log_p_series, chi_square_log_p_value
 from conftest import (
     chi2_upper_tail_by_integration,
     coded,
@@ -390,6 +390,37 @@ class TestTailProbability:
         values = [chi_square_p_value(s, df) for s in grid]
         for lo, hi in zip(values, values[1:]):
             assert hi < lo + 1e-12
+
+    @given(
+        st.one_of(
+            st.floats(0.0, 10.0),
+            st.floats(0.0, 200.0),
+            st.floats(0.0, 1e4),
+            st.integers(0, 10_000).map(float),
+        ),
+        st.integers(1, 9),
+        st.integers(1, 30),
+    )
+    @example(1352.0, 1, 30)  # x = 676: the asymptotic erfc branch from here on
+    @example(9999.5, 9, 30)
+    @example(2.9, 7, 15)
+    @settings(max_examples=400, deadline=None)
+    def test_series_matches_each_single_tail(self, statistic, step, n):
+        # An absolute error in log p is a relative error in p; near p = 1,
+        # where log p is near 0, the relative tolerance holds nothing, so
+        # 1e-14 absolute stands beside it.
+        series = chi_square_log_p_series(statistic, step, n)
+        assert len(series) == n
+        for m, got in enumerate(series, 1):
+            want = chi_square_log_p_value(statistic, m * step)
+            assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-14), (m * step, got, want)
+
+    @pytest.mark.parametrize(
+        "statistic, step, n", [(-0.5, 2, 3), (math.inf, 2, 3), (1.0, 0, 3), (1.0, 2, 0)]
+    )
+    def test_series_refusals(self, statistic, step, n):
+        with pytest.raises(ChaidError, match="invalid test input"):
+            chi_square_log_p_series(statistic, step, n)
 
     def test_full_test_combines_parts(self):
         result = chi_square_test(_table([[20, 5], [10, 15]]))
