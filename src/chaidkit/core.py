@@ -23,9 +23,9 @@ from .stats import (
     CodedRecords,
     ContingencyTable,
     Scale,
+    _chi_square_log_p_series,
     bonferroni_multiplier,
     build_contingency,
-    chi_square_log_p_series,
     chi_square_log_p_value,
     chi_square_p_value,
     chi_square_test,
@@ -405,7 +405,7 @@ def _log_p_bounds(
     """
     step, n = table.n_cols - 1, table.n_rows - 1
     if isinstance(statistics, float):
-        tails = chi_square_log_p_series(statistics, step, n)
+        tails = _chi_square_log_p_series(statistics, step, n)
     else:
         tails = map(chi_square_log_p_value, statistics, range(step, n * step + 1, step))
     multipliers = _log_multipliers(_node_scale(table, predictor), table.n_rows)

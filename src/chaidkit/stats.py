@@ -26,7 +26,6 @@ __all__ = [
     "ChiSquareResult",
     "CodedRecords",
     "build_contingency",
-    "chi_square_log_p_series",
     "chi_square_log_p_value",
     "chi_square_p_value",
     "chi_square_test",
@@ -52,19 +51,21 @@ class Scale(str, Enum):
     FLOAT = "float"
 
 
-def _check_shape(
+def _totals(
     row_labels: Sequence[object], col_labels: Sequence[str], counts: Sequence[Sequence[int]]
-) -> None:
-    """Refuse counts that are not one non-negative cell per row and column label, or empty."""
+) -> tuple[list[int], list[int]]:
+    """The row and column totals of ``counts``, refused unless it is one non-negative cell per
+    row and column label, and not empty."""
     if len(counts) != len(row_labels):
         raise ChaidError("counts row dimension does not match row labels")
     for row in counts:
         if len(row) != len(col_labels):
             raise ChaidError("counts column dimension does not match column labels")
-        if any(v < 0 for v in row):
+        if row and min(row) < 0:
             raise ChaidError("negative cell count")
     if not counts or not col_labels:
         raise ChaidError("empty table")
+    return list(map(sum, counts)), list(map(sum, zip(*counts)))
 
 
 @dataclass(frozen=True)
@@ -82,13 +83,11 @@ class ContingencyTable:
     counts: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        _check_shape(self.row_labels, self.col_labels, self.counts)
-        for i, row in enumerate(self.counts):
-            if sum(row) == 0:
-                raise ChaidError(f"all-zero row {self.row_labels[i]}")
-        for j, label in enumerate(self.col_labels):
-            if sum(row[j] for row in self.counts) == 0:
-                raise ChaidError(f"all-zero column {label!r}")
+        row_totals, col_totals = _totals(self.row_labels, self.col_labels, self.counts)
+        if 0 in row_totals:
+            raise ChaidError(f"all-zero row {self.row_labels[row_totals.index(0)]}")
+        if 0 in col_totals:
+            raise ChaidError(f"all-zero column {self.col_labels[col_totals.index(0)]!r}")
 
     @classmethod
     def from_counts(
@@ -100,9 +99,9 @@ class ContingencyTable:
         """Build a table, dropping rows and columns whose total is zero."""
         rows = [tuple(r) for r in counts]
         labels = [(lbl,) if isinstance(lbl, str) else tuple(lbl) for lbl in row_labels]
-        _check_shape(labels, col_labels, rows)
-        keep_rows = [i for i, r in enumerate(rows) if sum(r) > 0]
-        keep_cols = [j for j in range(len(col_labels)) if sum(r[j] for r in rows) > 0]
+        row_totals, col_totals = _totals(labels, col_labels, rows)
+        keep_rows = [i for i, total in enumerate(row_totals) if total > 0]
+        keep_cols = [j for j, total in enumerate(col_totals) if total > 0]
         # A table left with no line is refused as empty by the constructor.
         return cls(
             row_labels=tuple(labels[i] for i in keep_rows),
@@ -356,33 +355,22 @@ def chi_square_log_p_value(statistic: float, df: int) -> float:
     x = statistic / 2.0
     if x == 0.0:
         return 0.0
-    log_q = -math.inf
     # The terms t_a = x^a e^-x / Gamma(a+1) run over a = first + i, i < count.
     # As t_a / t_(a-1) = x / a, they rise while a <= x and fall after; summed
     # outward from the largest, every ratio is at most 1, so nothing overflows.
     first, count = (df % 2) / 2.0, df // 2
-    if count:
-        peak = min(count - 1, max(0, math.floor(x - first)))
-        below = above = 0.0
-        for i in range(1, peak + 1):
-            below = (1.0 + below) * (first + i) / x
-        for i in range(count - 1, peak, -1):
-            above = (1.0 + above) * x / (first + i)
-        a = first + peak
-        log_q = a * math.log(x) - x - math.lgamma(a + 1.0) + math.log1p(below + above)
-    if df % 2:
-        log_erfc = _log_erfc_sqrt(x)
-        high, low = max(log_q, log_erfc), min(log_q, log_erfc)
-        log_q = high + math.log1p(math.exp(low - high))
-    return min(0.0, log_q)
+    peak = min(count - 1, max(0, math.floor(x - first)))
+    below = 0.0
+    for i in range(1, peak + 1):
+        below = (1.0 + below) * (first + i) / x
+    return _log_tail(x, math.log(x), first, count, peak, below, _log_erfc_sqrt(x) if first else 0.0)
 
 
-def chi_square_log_p_series(statistic: float, step: int, n: int) -> list[float]:
+def _chi_square_log_p_series(statistic: float, step: int, n: int) -> list[float]:
     """:func:`chi_square_log_p_value` at one statistic for df = step, 2 step, ..., n step.
 
-    The tails of one df parity share their terms, so they are read off one running sum, taken
-    about its largest term as there. The terms past that one are added forward here, backward
-    there, so each log agrees with the single tail to a few units in its last place.
+    The tails of one df parity share their terms below the largest, so one running sum of
+    those serves them all; each tail then ends as the single one does, bit for bit.
     """
     if not 0.0 <= statistic < math.inf or step < 1 or n < 1:
         raise ChaidError("invalid test input")
@@ -394,25 +382,34 @@ def chi_square_log_p_series(statistic: float, step: int, n: int) -> list[float]:
     for start in range(stride):
         first = (start + 1) * step % 2 / 2.0
         peak = max(0, math.floor(x - first))
-        # The sums of the terms before and after the peak, and the last term, over the peak's.
-        below = above = 0.0
-        ratio, summed = 1.0, 1
+        below, summed = 0.0, 1
         for m in range(start, n, stride):
             count = (m + 1) * step // 2
-            for i in range(summed, min(count, peak + 1)):
+            top = min(count - 1, peak)
+            for i in range(summed, top + 1):
                 below = (1.0 + below) * (first + i) / x
-            for i in range(max(summed, peak + 1), count):
-                ratio *= x / (first + i)
-                above += ratio
-            summed = max(summed, count)
-            a, log_q = first + min(count - 1, peak), -math.inf
-            if count:
-                log_q = a * log_x - x - math.lgamma(a + 1.0) + math.log1p(below + above)
-            if first:
-                high, low = max(log_q, log_erfc), min(log_q, log_erfc)
-                log_q = high + math.log1p(math.exp(low - high))
-            tails[m] = min(0.0, log_q)
+            summed = max(summed, top + 1)
+            tails[m] = _log_tail(x, log_x, first, count, top, below, log_erfc)
     return tails
+
+
+def _log_tail(
+    x: float, log_x: float, first: float, count: int, top: int, below: float, log_erfc: float
+) -> float:
+    """log Q(first + count, x), given ``top``, the index of the largest term, and ``below``,
+    the terms before it summed over it; ``log_erfc`` is log erfc(sqrt x), read where ``first``
+    is 1/2."""
+    log_q = -math.inf
+    if count:
+        above = 0.0
+        for i in range(count - 1, top, -1):
+            above = (1.0 + above) * x / (first + i)
+        a = first + top
+        log_q = a * log_x - x - math.lgamma(a + 1.0) + math.log1p(below + above)
+    if first:
+        high, low = max(log_q, log_erfc), min(log_q, log_erfc)
+        log_q = high + math.log1p(math.exp(low - high))
+    return min(0.0, log_q)
 
 
 def _log_erfc_sqrt(x: float) -> float:

@@ -7,6 +7,7 @@ import contextlib
 import importlib
 import io
 import re
+import sys
 from pathlib import Path
 
 import chaidkit
@@ -68,6 +69,22 @@ def test_module_names_are_the_documented_ones():
         if extra:
             modules[name] = extra
     assert modules == documented
+
+
+def test_the_library_imports_only_the_standard_library():
+    # pyproject.toml declares no runtime dependency; CI installs the test extras, so an
+    # import of one of them from src/ would pass every other step.
+    for path in sorted((ROOT / "src" / "chaidkit").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                assert top in sys.stdlib_module_names or top == "chaidkit", (path.name, name)
 
 
 def test_benchmark_imports_are_exported():

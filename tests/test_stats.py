@@ -23,7 +23,7 @@ from chaidkit import (
     chi_square_p_value,
     chi_square_test,
 )
-from chaidkit.stats import ChiSquareResult, chi_square_log_p_series, chi_square_log_p_value
+from chaidkit.stats import ChiSquareResult, _chi_square_log_p_series, chi_square_log_p_value
 from conftest import (
     chi2_upper_tail_by_integration,
     coded,
@@ -70,6 +70,40 @@ def _mpmath_log_tail(statistic: float, df: int) -> float:
     with mpmath.workdps(40):
         half = mpmath.mpf(statistic) / 2
         return float(mpmath.log(mpmath.gammainc(mpmath.mpf(df) / 2, half, regularized=True)))
+
+
+def _reference_log_tail(statistic: float, df: int) -> float:
+    """``chi_square_log_p_value`` written out in one body, terms summed outward from the largest.
+
+    The library ends this sum in a step its bounds' series shares; it must still return
+    exactly these floats.
+    """
+    x = statistic / 2.0
+    if x == 0.0:
+        return 0.0
+    log_q = -math.inf
+    first, count = (df % 2) / 2.0, df // 2
+    if count:
+        peak = min(count - 1, max(0, math.floor(x - first)))
+        below = above = 0.0
+        for i in range(1, peak + 1):
+            below = (1.0 + below) * (first + i) / x
+        for i in range(count - 1, peak, -1):
+            above = (1.0 + above) * x / (first + i)
+        a = first + peak
+        log_q = a * math.log(x) - x - math.lgamma(a + 1.0) + math.log1p(below + above)
+    if df % 2:
+        if x < 676.0:
+            log_erfc = math.log(math.erfc(math.sqrt(x)))
+        else:
+            term = total = 1.0
+            for n in range(1, 10):
+                term *= -(2 * n - 1) / (2.0 * x)
+                total += term
+            log_erfc = -x - 0.5 * math.log(math.pi * x) + math.log(total)
+        high, low = max(log_q, log_erfc), min(log_q, log_erfc)
+        log_q = high + math.log1p(math.exp(low - high))
+    return min(0.0, log_q)
 
 
 def _table(rows):
@@ -184,8 +218,11 @@ class TestContingency:
             ((("a",),), ((1, 2), (3, 4)), "counts row dimension does not match row labels"),
             ((("a",), ("b",)), ((1, 2), (0, 0)), r"all-zero row \('b',\)"),
             ((("a",), ("b",)), ((1, 0), (2, 0)), "all-zero column 'v'"),
+            ((("a",), ("b",)), ((1, -1), (2, 2)), "negative cell count"),
+            ((("a",), ("b",)), ((1, -1), (2,)), "negative cell count"),
+            ((("a",), ("b",)), ((0, 0), (2, 0)), r"all-zero row \('a',\)"),
         ],
-        ids=["row_dimension", "zero_row", "zero_column"],
+        ids=["row_dimension", "zero_row", "zero_column", "negative", "sign_first", "row_first"],
     )
     def test_constructor_refusals(self, row_labels, counts, message):
         with pytest.raises(ChaidError, match=message):
@@ -406,21 +443,34 @@ class TestTailProbability:
     @example(2.9, 7, 15)
     @settings(max_examples=400, deadline=None)
     def test_series_matches_each_single_tail(self, statistic, step, n):
-        # An absolute error in log p is a relative error in p; near p = 1,
-        # where log p is near 0, the relative tolerance holds nothing, so
-        # 1e-14 absolute stands beside it.
-        series = chi_square_log_p_series(statistic, step, n)
+        series = _chi_square_log_p_series(statistic, step, n)
         assert len(series) == n
         for m, got in enumerate(series, 1):
-            want = chi_square_log_p_value(statistic, m * step)
-            assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-14), (m * step, got, want)
+            assert got == chi_square_log_p_value(statistic, m * step), m * step
+
+    @given(
+        st.one_of(
+            st.just(0.0),
+            st.floats(0.0, 10.0),
+            st.floats(0.0, 300.0),
+            st.floats(1340.0, 1e4),
+            st.floats(0.0, 1e6),
+        ),
+        st.integers(1, 60),
+    )
+    @example(1352.0, 1)  # x = 676: the asymptotic erfc branch from here on
+    @example(1351.9, 60)
+    @example(0.0, 2)
+    @settings(max_examples=600, deadline=None)
+    def test_single_tail_matches_its_reference_sum(self, statistic, df):
+        assert chi_square_log_p_value(statistic, df) == _reference_log_tail(statistic, df)
 
     @pytest.mark.parametrize(
         "statistic, step, n", [(-0.5, 2, 3), (math.inf, 2, 3), (1.0, 0, 3), (1.0, 2, 0)]
     )
     def test_series_refusals(self, statistic, step, n):
         with pytest.raises(ChaidError, match="invalid test input"):
-            chi_square_log_p_series(statistic, step, n)
+            _chi_square_log_p_series(statistic, step, n)
 
     def test_full_test_combines_parts(self):
         result = chi_square_test(_table([[20, 5], [10, 15]]))
