@@ -36,12 +36,43 @@ def _text(value: object, what: str, error: type[ChaidError]) -> str:
     return value
 
 
+def _texts(items: list, what: str, error: type[ChaidError]) -> tuple[str, ...]:
+    """The items of a document's list of text, each refused as :func:`_text` refuses it."""
+    return tuple(_text(item, what, error) for item in items)
+
+
+def _list(value: object, name: str, error: type[ChaidError]) -> list:
+    """A list field of a document: a string there is not a list of characters."""
+    if not isinstance(value, list):
+        raise error(f"{name} must be a list, not {value!r}")
+    return value
+
+
+def _mapping(value: object, name: str, error: type[ChaidError]) -> dict:
+    """A mapping field of a document: a list of pairs there is not a mapping."""
+    if not isinstance(value, dict):
+        raise error(f"{name} must be a mapping, not {value!r}")
+    return value
+
+
+def _opened(doc: object, kind: str, tag: str, version: int, error: type[ChaidError]) -> dict:
+    """A ``kind`` document's mapping, refused unless it carries format ``tag`` at ``version``."""
+    if not isinstance(doc, dict):
+        raise error(f"{kind} document must be a mapping")
+    if doc.get("format") != tag:
+        raise error(f"not a {kind} document (unrecognized format tag)")
+    if doc.get("format_version") != version:
+        raise error(f"unsupported {kind} format version: {doc.get('format_version')!r}")
+    return doc
+
+
 def _doc(spec: object) -> dict:
     """A schema dataclass as a document: unset fields left out, enums by value, tuples as lists."""
     return asdict(spec, dict_factory=lambda kv: {k: _plain(v) for k, v in kv if v is not None})
 
 
 def _plain(value: object) -> object:
+    """A dataclass field's value as JSON data: an enum by value, a tuple, nested too, as a list."""
     if isinstance(value, Enum):
         return value.value
-    return list(value) if isinstance(value, tuple) else value
+    return [_plain(item) for item in value] if isinstance(value, tuple) else value

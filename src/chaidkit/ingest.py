@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
 from .core import MISSING_LABEL, PredictorSpec
-from .errors import DataError, _doc, _number, _text
+from .errors import DataError, _doc, _list, _number, _opened, _text, _texts
 from .stats import CodedColumns, Scale, _compact
 
 __all__ = [
@@ -105,8 +105,8 @@ class BinningSpec:
             raise DataError("binning entry must be a mapping with a strategy")
         bin_count = doc.get("bin_count")
         boundaries = doc.get("boundaries")
-        if not isinstance(boundaries, (list, type(None))):
-            raise DataError(f"binning boundaries must be a list, not {boundaries!r}")
+        if boundaries is not None:
+            _list(boundaries, "binning boundaries", DataError)
         try:
             count = None if bin_count is None else _number(int, bin_count, "bin count")
         except ValueError:
@@ -153,7 +153,7 @@ def _compute_boundaries(values: Sequence[float], spec: BinningSpec) -> tuple[flo
         if cut >= top:
             break
         if not bounds or cut > bounds[-1]:
-            bounds.append(cut)
+            bounds.append(cut or 0.0)  # a zero cut is 0.0 whichever of +-0.0 sorted first
     return tuple(bounds)
 
 
@@ -248,8 +248,8 @@ class ColumnSpec:
                 raise DataError(f"column {name!r}: unknown scale {scale_doc!r}") from None
         binning_doc = doc.get("binning")
         categories_doc = doc.get("categories")
-        if not isinstance(categories_doc, (list, type(None))):
-            raise DataError(f"column {name!r}: categories must be a list, not {categories_doc!r}")
+        if categories_doc is not None:
+            _list(categories_doc, f"column {name!r}: categories", DataError)
         float_doc = doc.get("float_category")
         return cls(
             name=name,
@@ -259,7 +259,7 @@ class ColumnSpec:
             binning=None if binning_doc is None else BinningSpec.from_doc(binning_doc),
             categories=None
             if categories_doc is None
-            else tuple(_text(c, f"column {name!r}: categories", DataError) for c in categories_doc),
+            else _texts(categories_doc, f"column {name!r}: categories", DataError),
             float_category=None
             if float_doc is None
             else _text(float_doc, f"column {name!r}: float_category", DataError),
@@ -302,14 +302,7 @@ class DatasetSchema:
 
     @classmethod
     def from_doc(cls, doc: object) -> "DatasetSchema":
-        if not isinstance(doc, dict):
-            raise DataError("schema document must be a mapping")
-        if doc.get("format") != SCHEMA_FORMAT:
-            raise DataError("not a schema document (unrecognized format tag)")
-        if doc.get("format_version") != SCHEMA_FORMAT_VERSION:
-            raise DataError(
-                f"unsupported schema format version: {doc.get('format_version')!r}"
-            )
+        doc = _opened(doc, "schema", SCHEMA_FORMAT, SCHEMA_FORMAT_VERSION, DataError)
         columns_doc = doc.get("columns")
         if not isinstance(columns_doc, list) or not columns_doc:
             raise DataError("schema document declares no columns")

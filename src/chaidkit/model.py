@@ -22,7 +22,7 @@ from .core import (
     PredictorSpec,
     StopReason,
 )
-from .errors import ChaidError, ModelError, _number, _text
+from .errors import ChaidError, ModelError, _list, _mapping, _number, _opened, _plain, _text, _texts
 from .stats import Scale
 
 __all__ = [
@@ -202,33 +202,12 @@ class Tree:
     # -- serialization ----------------------------------------------------
 
     def to_document(self) -> dict:
-        """Plain-data model document; see ``from_document`` for the inverse."""
-        return {
-            "format": MODEL_FORMAT,
-            "format_version": MODEL_FORMAT_VERSION,
-            "target": self.target,
-            "classes": list(self.classes),
-            "growth_params": asdict(self.growth_params),
-            "predictors": [
-                {**asdict(spec), "scale": spec.scale.value, "categories": list(spec.categories)}
-                for spec in self.predictors
-            ],
-            "schema": self.schema,
-            "nodes": [
-                {
-                    **asdict(node),
-                    "children": list(node.children),
-                    "split": None
-                    if node.split is None
-                    else {
-                        "predictor": node.split.predictor,
-                        "groups": [list(g) for g in node.split.partition.groups],
-                    },
-                    "stop_reason": None if node.stop_reason is None else node.stop_reason.value,
-                }
-                for node in self.nodes
-            ],
-        }
+        """Plain-data model document, unset fields as null; ``from_document`` is the inverse."""
+        doc = asdict(self, dict_factory=lambda kv: {k: _plain(v) for k, v in kv})
+        for node in doc["nodes"]:
+            if node["split"] is not None:  # a split is its predictor and its partition's groups
+                node["split"].update(node["split"].pop("partition"))
+        return {"format": MODEL_FORMAT, "format_version": MODEL_FORMAT_VERSION, **doc}
 
     def document_bytes(self) -> bytes:
         """Byte-stable serialization: sorted keys, two-space indent, newline end."""
@@ -238,14 +217,7 @@ class Tree:
     @classmethod
     def from_document(cls, document: object) -> "Tree":
         """Rebuild a tree from a model document, re-checking every invariant."""
-        if not isinstance(document, dict):
-            raise ModelError("model document must be a mapping")
-        if document.get("format") != MODEL_FORMAT:
-            raise ModelError("not a model document (unrecognized format tag)")
-        if document.get("format_version") != MODEL_FORMAT_VERSION:
-            raise ModelError(
-                f"unsupported model format version: {document.get('format_version')!r}"
-            )
+        document = _opened(document, "model", MODEL_FORMAT, MODEL_FORMAT_VERSION, ModelError)
         try:
             at, growth = "growth_params", _key(document, "growth_params")
             # Each field takes the type of its default: float alphas, int sizes.
@@ -259,28 +231,28 @@ class Tree:
                 PredictorSpec(
                     name=_text(_key(p, "name", f"predictors[{i}]"), "predictor name", ModelError),
                     scale=Scale(_key(p, "scale", f"predictors[{i}]")),
-                    categories=tuple(
-                        _text(c, "predictor categories", ModelError)
-                        for c in _list(_key(p, "categories", f"predictors[{i}]"), "categories")
+                    categories=_texts(
+                        _list(_key(p, "categories", f"predictors[{i}]"), "categories", ModelError),
+                        "predictor categories", ModelError,
                     ),
                     float_category=None
                     if p.get("float_category") is None
                     else _text(p["float_category"], "predictor float_category", ModelError),
                 )
-                for i, p in enumerate(_key(document, "predictors"))
+                for i, p in enumerate(_list(_key(document, "predictors"), "predictors", ModelError))
             )
-            nodes = tuple(_node_from_doc(i, doc) for i, doc in enumerate(_key(document, "nodes")))
+            nodes = _list(_key(document, "nodes"), "nodes", ModelError)
+            nodes = tuple(_node_from_doc(i, doc) for i, doc in enumerate(nodes))
             schema = document.get("schema")
             tree = cls(
                 target=_text(_key(document, "target"), "target", ModelError),
-                classes=tuple(
-                    _text(c, "classes", ModelError)
-                    for c in _list(_key(document, "classes"), "classes")
+                classes=_texts(
+                    _list(_key(document, "classes"), "classes", ModelError), "classes", ModelError
                 ),
                 nodes=nodes,
                 growth_params=params,
                 predictors=predictors,
-                schema=schema if schema is None else dict(schema),
+                schema=schema if schema is None else dict(_mapping(schema, "schema", ModelError)),
             )
         except ModelError:
             raise
@@ -335,17 +307,10 @@ def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
 
-def _list(value: object, name: str) -> list:
-    """A list field of a model document: a string there is not a list of characters."""
-    if not isinstance(value, list):
-        raise ModelError(f"{name} must be a list, not {value!r}")
-    return value
-
-
-def _key(doc: Mapping, key: str, at: str = "") -> object:
-    """The required ``key`` of the model document mapping at path ``at``; missing, it is named."""
+def _key(doc: object, key: str, at: str = "") -> object:
+    """The required ``key`` of the model document mapping at path ``at``, which names any fault."""
     try:
-        return doc[key]
+        return _mapping(doc, at, ModelError)[key]
     except KeyError:
         raise ValueError(f"{at}: missing {key!r}" if at else f"missing {key!r}") from None
 
@@ -368,9 +333,7 @@ def _node_from_doc(index: int, doc: object) -> TreeNode:
                 tuple(tuple(_text(c, "split groups", ModelError) for c in g) for g in groups)
             ),
         )
-    class_counts = _key(doc, "class_counts", at)
-    if not isinstance(class_counts, dict):
-        raise ModelError(f"class_counts must be a mapping, not {class_counts!r}")
+    class_counts = _mapping(_key(doc, "class_counts", at), "class_counts", ModelError)
     reason_doc = doc.get("stop_reason")
     try:
         reason = None if reason_doc is None else StopReason(reason_doc)
@@ -383,7 +346,7 @@ def _node_from_doc(index: int, doc: object) -> TreeNode:
         split=split,
         children=tuple(
             _number(int, c, f"{at}.children")
-            for c in _list(_key(doc, "children", at), "children")
+            for c in _list(_key(doc, "children", at), "children", ModelError)
         ),
         class_counts={
             str(k): _number(int, v, f"{at}.class_counts") for k, v in class_counts.items()

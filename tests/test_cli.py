@@ -835,7 +835,8 @@ def training_inputs(draw):
         if kind in ("frequency", "width"):
             binning = BinningSpec(strategy=f"equal_{kind}", bin_count=draw(st.integers(2, 5)))
             columns.append(ColumnSpec(name, "predictor", "numeric", Scale.MONOTONIC, binning))
-            makers.append(lambda: str(rng.choice([1, 2, 2.5, 3, 7, 10, 40, -5])))
+            # "0" and "-0" tie, so a cut between them must not depend on which comes first.
+            makers.append(lambda: str(rng.choice([1, 2, 2.5, 3, 7, 10, 40, -5, "0", "-0"])))
         else:
             order = draw(st.none() | st.permutations(cats)) if kind is Scale.MONOTONIC else None
             columns.append(cat(name, scale=kind, categories=order and tuple(order)))
@@ -874,6 +875,25 @@ class TestTrainingProperties:
                 assert rc == 0
                 models.append(model.read_bytes())
         assert models[0] == models[1]
+
+    def test_a_zero_cut_is_written_alike_in_either_row_order(self, tmp_path):
+        binning = BinningSpec(strategy="equal_frequency", bin_count=2)
+        schema = write_schema(
+            tmp_path / "schema.json",
+            ColumnSpec("x", "predictor", "numeric", Scale.MONOTONIC, binning),
+            cat("y", role="target"),
+        )
+        cells = ["-0.0"] * 5 + ["0.0"] * 5 + ["5"] * 10
+        models = []
+        for order in (cells, cells[5:10] + cells[:5] + cells[10:]):
+            rows = [["x", "y"]] + [[cell, "uv"[cell == "5"]] for cell in order]
+            with contextlib.redirect_stdout(io.StringIO()):
+                rc, model = train(tmp_path, schema, write_rows(tmp_path / "train.csv", rows))
+            assert rc == 0
+            models.append(model.read_bytes())
+        assert models[0] == models[1]
+        echo = json.loads(models[0])["schema"]["columns"][0]
+        assert repr(echo["binning"]["boundaries"]) == "[0.0]"
 
     @given(training_inputs())
     @settings(max_examples=40, deadline=None)
@@ -1146,14 +1166,28 @@ class TestInspect:
         assert main(["inspect", "--model", str(model)]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
-    def test_non_mapping_class_counts_is_one_error_line(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("nodes", 3, "class_counts"), [], "class_counts must be a mapping, not []"),
+            (("growth_params",), [1], "growth_params must be a mapping, not [1]"),
+            (("predictors", 0), "ab", "predictors[0] must be a mapping, not 'ab'"),
+            (("nodes", 0, "split"), ["x"], "nodes[0].split must be a mapping, not ['x']"),
+            # A list of pairs would make a mapping of its own, {"a": "b"}.
+            (("schema",), ["ab"], "schema must be a mapping, not ['ab']"),
+        ],
+        ids=["class_counts", "growth_params", "predictor", "split", "schema"],
+    )
+    def test_non_mapping_field_is_one_error_line(self, tmp_path, capsys, path, value, message):
         doc = sales_fixture_tree().to_document()
-        doc["nodes"][3]["class_counts"] = []
+        holder = doc
+        for key in path[:-1]:
+            holder = holder[key]
+        holder[path[-1]] = value
         model = tmp_path / "model.json"
         model.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["inspect", "--model", str(model)]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert err == ["error: class_counts must be a mapping, not []"]
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
     @pytest.mark.parametrize("command", ["inspect", "predict"])
     @pytest.mark.parametrize("groups", ["ab", ["a", "b"]], ids=["string", "string_groups"])
@@ -1275,18 +1309,26 @@ class TestInspect:
         ]
 
     @pytest.mark.parametrize(
-        "field,text", [("children", "12"), ("classes", "uv"), ("categories", "ab")]
+        "field,text",
+        [
+            ("children", "12"),
+            ("classes", "uv"),
+            ("categories", "ab"),
+            ("predictors", "ab"),
+            ("nodes", "ab"),
+        ],
     )
     def test_string_for_a_list_is_one_error_line(
         self, tmp_path, perfect, capsys, field, text
     ):
         model, _ = setup_model(tmp_path, perfect)
         doc = json.loads(model.read_text(encoding="utf-8"))
-        holders = {"children": doc["nodes"][0], "classes": doc, "categories": doc["predictors"][0]}
-        holder = holders[field]
-        # The string spells out the list it replaces, so reading it as one
-        # character per item would load the same tree.
-        assert "".join(map(str, holder[field])) == text
+        holders = {"children": doc["nodes"][0], "categories": doc["predictors"][0]}
+        holder = holders.get(field, doc)
+        if field not in ("predictors", "nodes"):
+            # The string spells out the list it replaces, so reading it as one
+            # character per item would load the same tree.
+            assert "".join(map(str, holder[field])) == text
         holder[field] = text
         model.write_text(json.dumps(doc), encoding="utf-8")
         capsys.readouterr()
@@ -1505,7 +1547,10 @@ def _paths(doc, prefix=()):
 
 
 def _mutated(doc, mutations):
-    """A copy of ``doc`` with each (path, value) applied; paths an earlier change removed are skipped."""
+    """A copy of ``doc`` with each (path, value) applied.
+
+    A path that an earlier change removed, or led into text, is skipped.
+    """
     doc = json.loads(json.dumps(doc))
     for path, value in mutations:
         holder = doc
@@ -1514,6 +1559,8 @@ def _mutated(doc, mutations):
                 holder = holder[key]
             holder[path[-1]]
         except (KeyError, IndexError, TypeError):
+            continue
+        if isinstance(holder, str):
             continue
         if value is DELETE:
             del holder[path[-1]]
@@ -1558,6 +1605,8 @@ class TestDocumentFuzz:
     @example([(("nodes", 0, "children"), "12")])
     @example([(("classes",), "uv")])
     @example([(("predictors", 0, "categories"), "ab")])
+    # Text where the node list was, then a change inside it.
+    @example([(("nodes",), "0"), (("nodes", 0), None)])
     @settings(max_examples=150, deadline=None)
     def test_mutated_model_through_inspect_and_predict(self, changes):
         with tempfile.TemporaryDirectory() as tmp:
@@ -1570,6 +1619,8 @@ class TestDocumentFuzz:
             _assert_clean_exit(*_run(argv + ["--out", str(work / "pred.csv")]))
 
     @given(mutations(FUZZ_SCHEMA))
+    # Text where the column list was, then a change inside it.
+    @example([(("columns",), "0"), (("columns", 0), None)])
     @settings(max_examples=150, deadline=None)
     def test_mutated_schema_through_train(self, changes):
         with tempfile.TemporaryDirectory() as tmp:

@@ -167,13 +167,14 @@ class TestBinning:
         st.integers(2, 7),
         st.sampled_from(["equal_frequency", "equal_width"]),
     )
+    @example([-0.0, 0.0, 5.0, 5.0], 2, "equal_frequency")
     @example([-0.0, -3.0, 0.0], 3, "equal_width")
     @example([0.0, -0.0, 0.0, -0.0], 4, "equal_width")
     @example([-1.7976931348623157e308, -0.0, 0.0], 5, "equal_width")
     @settings(max_examples=200, deadline=None)
     def test_cuts_equal_those_of_the_sorting_function(self, values, k, strategy):
         def sorted_cuts(values, spec):
-            """The cuts as computed when every strategy sorted the values first."""
+            """The cuts as computed when every strategy sorted the values first, a zero cut as 0.0."""
             ordered = sorted(values)
             n = len(ordered)
             k = spec.bin_count
@@ -190,7 +191,7 @@ class TestBinning:
                 if cut >= top:
                     break
                 if not bounds or cut > bounds[-1]:
-                    bounds.append(cut)
+                    bounds.append(0.0 if cut == 0 else cut)
             return tuple(bounds)
 
         spec = BinningSpec(strategy=strategy, bin_count=k)
@@ -198,6 +199,8 @@ class TestBinning:
         expected = repr(sorted_cuts(values, spec))
         assert repr(ingest._compute_boundaries(values, spec)) == expected
         assert repr(ingest._compute_boundaries(array("d", values), spec)) == expected
+        # Sorting keeps tied -0.0 and 0.0 in row order; the cuts do not depend on it.
+        assert repr(ingest._compute_boundaries(values[::-1], spec)) == expected
 
 
 class TestBinningSpec:

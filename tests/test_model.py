@@ -285,6 +285,14 @@ class TestSerialization:
             assert again == tree
             assert again.document_bytes() == tree.document_bytes()
 
+    def test_document_is_plain_data(self):
+        rng = random.Random(405)
+        for tree in [sales_fixture_tree()] + [random_tree(rng) for _ in range(40)]:
+            document = tree.to_document()
+            # repr tells a tuple from a list and an enum from its value, which == does not.
+            assert repr(json.loads(json.dumps(document))) == repr(document)
+            assert Tree.from_document(document) == tree
+
     def test_save_and_load(self, tmp_path):
         tree = sales_fixture_tree()
         path = tmp_path / "model.json"
