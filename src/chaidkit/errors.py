@@ -61,8 +61,9 @@ def _opened(doc: object, kind: str, tag: str, version: int, error: type[ChaidErr
         raise error(f"{kind} document must be a mapping")
     if doc.get("format") != tag:
         raise error(f"not a {kind} document (unrecognized format tag)")
-    if doc.get("format_version") != version:
-        raise error(f"unsupported {kind} format version: {doc.get('format_version')!r}")
+    found = doc.get("format_version")
+    if type(found) is not int or found != version:  # true and 1.0 equal 1, but are not it
+        raise error(f"unsupported {kind} format version: {found!r}")
     return doc
 
 

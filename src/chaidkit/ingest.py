@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
 from .core import MISSING_LABEL, PredictorSpec
-from .errors import DataError, _doc, _list, _number, _opened, _text, _texts
+from .errors import DataError, _doc, _list, _mapping, _number, _opened, _text, _texts
 from .stats import CodedColumns, Scale, _compact
 
 __all__ = [
@@ -101,8 +101,9 @@ class BinningSpec:
 
     @classmethod
     def from_doc(cls, doc: object) -> "BinningSpec":
-        if not isinstance(doc, dict) or "strategy" not in doc:
-            raise DataError("binning entry must be a mapping with a strategy")
+        doc = _mapping(doc, "binning entry", DataError)
+        if "strategy" not in doc:
+            raise DataError("binning entry is missing 'strategy'")
         bin_count = doc.get("bin_count")
         boundaries = doc.get("boundaries")
         if boundaries is not None:
@@ -230,8 +231,7 @@ class ColumnSpec:
 
     @classmethod
     def from_doc(cls, doc: object) -> "ColumnSpec":
-        if not isinstance(doc, dict):
-            raise DataError("column entry must be a mapping")
+        doc = _mapping(doc, "column entry", DataError)
         for key in ("name", "role", "kind"):
             if key not in doc:
                 raise DataError(f"column entry is missing {key!r}")

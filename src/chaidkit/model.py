@@ -5,15 +5,19 @@ structural consistency on construction and again when loaded from a model
 document. Routing walks from the root, following the child whose category
 group contains the record's value for the split predictor; terminal nodes
 turn their training class counts into a probability distribution.
+
+The model document is derived from these dataclasses both ways: written
+by ``asdict``, read field by field from their annotations. A refusal of a
+malformed document names the path of the faulty value and the value.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
-from functools import cached_property
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from functools import cache, cached_property
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, get_args, get_origin, get_type_hints
 
 from .core import (
     MISSING_LABEL,
@@ -22,8 +26,7 @@ from .core import (
     PredictorSpec,
     StopReason,
 )
-from .errors import ChaidError, ModelError, _list, _mapping, _number, _opened, _plain, _text, _texts
-from .stats import Scale
+from .errors import ChaidError, ModelError, _list, _mapping, _number, _opened, _plain, _text
 
 __all__ = [
     "NodeSplit",
@@ -219,46 +222,11 @@ class Tree:
         """Rebuild a tree from a model document, re-checking every invariant."""
         document = _opened(document, "model", MODEL_FORMAT, MODEL_FORMAT_VERSION, ModelError)
         try:
-            at, growth = "growth_params", _key(document, "growth_params")
-            # Each field takes the type of its default: float alphas, int sizes.
-            params = GrowthParams(
-                **{
-                    f.name: _number(type(f.default), _key(growth, f.name, at), f"{at}.{f.name}")
-                    for f in fields(GrowthParams)
-                }
-            )
-            predictors = tuple(
-                PredictorSpec(
-                    name=_text(_key(p, "name", f"predictors[{i}]"), "predictor name", ModelError),
-                    scale=Scale(_key(p, "scale", f"predictors[{i}]")),
-                    categories=_texts(
-                        _list(_key(p, "categories", f"predictors[{i}]"), "categories", ModelError),
-                        "predictor categories", ModelError,
-                    ),
-                    float_category=None
-                    if p.get("float_category") is None
-                    else _text(p["float_category"], "predictor float_category", ModelError),
-                )
-                for i, p in enumerate(_list(_key(document, "predictors"), "predictors", ModelError))
-            )
-            nodes = _list(_key(document, "nodes"), "nodes", ModelError)
-            nodes = tuple(_node_from_doc(i, doc) for i, doc in enumerate(nodes))
-            schema = document.get("schema")
-            tree = cls(
-                target=_text(_key(document, "target"), "target", ModelError),
-                classes=_texts(
-                    _list(_key(document, "classes"), "classes", ModelError), "classes", ModelError
-                ),
-                nodes=nodes,
-                growth_params=params,
-                predictors=predictors,
-                schema=schema if schema is None else dict(_mapping(schema, "schema", ModelError)),
-            )
+            return _read(cls, document, "")
         except ModelError:
             raise
         except (ChaidError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ModelError(f"malformed model document: {exc}") from exc
-        return tree
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Tree":
@@ -307,52 +275,62 @@ def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
 
-def _key(doc: object, key: str, at: str = "") -> object:
-    """The required ``key`` of the model document mapping at path ``at``, which names any fault."""
-    try:
-        return _mapping(doc, at, ModelError)[key]
-    except KeyError:
-        raise ValueError(f"{at}: missing {key!r}" if at else f"missing {key!r}") from None
+@cache
+def _fields(cls: type) -> tuple[tuple[str, object, bool], ...]:
+    """Each field of a model dataclass: its name, its type, and whether that type is ``X | None``.
+
+    ``X | None`` is the only union in these classes, and its ``X`` is the type kept.
+    """
+    hints = get_type_hints(cls)
+    table = []
+    for f in fields(cls):
+        args = get_args(hints[f.name])
+        optional = type(None) in args
+        table.append((f.name, args[0] if optional else hints[f.name], optional))
+    return tuple(table)
 
 
-def _node_from_doc(index: int, doc: object) -> TreeNode:
-    """The node at position ``index`` of a model document's node list."""
-    if not isinstance(doc, dict):
-        raise ModelError("node entry must be a mapping")
-    at = f"nodes[{index}]"
-    split_doc = doc.get("split")
-    split = None
-    if split_doc is not None:
-        groups = _key(split_doc, "groups", f"{at}.split")
-        if not isinstance(groups, list) or not all(isinstance(g, list) for g in groups):
-            raise ModelError(f"split groups must be a list of lists, not {groups!r}")
-        predictor = _key(split_doc, "predictor", f"{at}.split")
-        split = NodeSplit(
-            predictor=_text(predictor, "split predictor", ModelError),
-            partition=CategoryPartition(
-                tuple(tuple(_text(c, "split groups", ModelError) for c in g) for g in groups)
-            ),
-        )
-    class_counts = _mapping(_key(doc, "class_counts", at), "class_counts", ModelError)
-    reason_doc = doc.get("stop_reason")
-    try:
-        reason = None if reason_doc is None else StopReason(reason_doc)
-    except ValueError as exc:
-        raise ModelError(f"unknown stop reason {reason_doc!r}") from exc
-    return TreeNode(
-        id=_number(int, _key(doc, "id", at), f"{at}.id"),
-        depth=_number(int, _key(doc, "depth", at), f"{at}.depth"),
-        parent=None if doc.get("parent") is None else _number(int, doc["parent"], f"{at}.parent"),
-        split=split,
-        children=tuple(
-            _number(int, c, f"{at}.children")
-            for c in _list(_key(doc, "children", at), "children", ModelError)
-        ),
-        class_counts={
-            str(k): _number(int, v, f"{at}.class_counts") for k, v in class_counts.items()
-        },
-        stop_reason=reason,
-    )
+def _read(cls: type, doc: object, at: str) -> object:
+    """The ``cls`` dataclass from the document mapping at path ``at``, one field at a time.
+
+    A field may be absent exactly when it may be None. A split's partition is
+    read from the split mapping itself, as :meth:`Tree.to_document` flattens it.
+    """
+    doc = _mapping(doc, at, ModelError)
+    values = {}
+    for name, kind, optional in _fields(cls):
+        path = f"{at}.{name}" if at else name
+        if name == "partition":
+            value, path = doc, at
+        elif optional or name in doc:
+            value = doc.get(name)
+        else:
+            raise ValueError(f"{at}: missing {name!r}" if at else f"missing {name!r}")
+        values[name] = value if optional and value is None else _value(kind, value, path)
+    return cls(**values)
+
+
+def _value(kind: object, value: object, at: str) -> object:
+    """One document value read as type ``kind``; every refusal names its path ``at``."""
+    if kind is int or kind is float:
+        return _number(kind, value, at)
+    if kind is str:
+        return _text(value, at, ModelError)
+    args = get_args(kind)
+    if get_origin(kind) is dict:  # class counts, dict[str, int]
+        counts = _mapping(value, at, ModelError)
+        return {str(k): _value(args[1], v, f"{at}.{k}") for k, v in counts.items()}
+    if args:  # tuple[X, ...]
+        items = _list(value, at, ModelError)
+        return tuple(_value(args[0], v, f"{at}[{i}]") for i, v in enumerate(items))
+    if kind is dict:  # the schema echo, carried, not interpreted
+        return dict(_mapping(value, at, ModelError))
+    if is_dataclass(kind):
+        return _read(kind, value, at)
+    try:  # an enum, by its value
+        return kind(value)
+    except ValueError:
+        raise ValueError(f"{at}: unknown value {value!r}") from None
 
 
 def _validate_tree(tree: Tree) -> None:

@@ -25,7 +25,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chaidkit.grow
-from chaidkit import Scale, Tree, load_model, save_model
+from chaidkit import ModelError, Scale, Tree, load_model, save_model
 from chaidkit import ingest
 from chaidkit.cli import build_parser, entrypoint, main
 from chaidkit.core import CategoryPartition, GrowthParams, StopReason
@@ -364,6 +364,27 @@ class TestTrain:
                 "unsupported schema format version: 2",
                 id="format_version",
             ),
+            # The version is the integer 1: true and 1.0 equal it, but are not it.
+            pytest.param(
+                schema_doc(categorical(), format_version=True),
+                "unsupported schema format version: True",
+                id="format_version_true",
+            ),
+            pytest.param(
+                schema_doc(categorical(), format_version=1.0),
+                "unsupported schema format version: 1.0",
+                id="format_version_float",
+            ),
+            pytest.param(
+                schema_doc({**binned(), "binning": [1]}),
+                "binning entry must be a mapping, not [1]",
+                id="binning_not_a_mapping",
+            ),
+            pytest.param(
+                schema_doc(binned()),
+                "binning entry is missing 'strategy'",
+                id="binning_without_strategy",
+            ),
         ],
     )
     def test_malformed_schema_field_is_one_error_line(
@@ -611,7 +632,7 @@ class TestPredict:
     @pytest.mark.parametrize(
         "columns,message",
         [
-            ([1], "column entry must be a mapping"),
+            ([1], "column entry must be a mapping, not 1"),
             ({"a": {}}, "schema document declares no columns"),
             (
                 schema_doc(binned(strategy="explicit_boundaries", boundaries=["1.5"]))["columns"],
@@ -1169,7 +1190,7 @@ class TestInspect:
     @pytest.mark.parametrize(
         "path, value, message",
         [
-            (("nodes", 3, "class_counts"), [], "class_counts must be a mapping, not []"),
+            (("nodes", 3, "class_counts"), [], "nodes[3].class_counts must be a mapping, not []"),
             (("growth_params",), [1], "growth_params must be a mapping, not [1]"),
             (("predictors", 0), "ab", "predictors[0] must be a mapping, not 'ab'"),
             (("nodes", 0, "split"), ["x"], "nodes[0].split must be a mapping, not ['x']"),
@@ -1190,9 +1211,16 @@ class TestInspect:
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
     @pytest.mark.parametrize("command", ["inspect", "predict"])
-    @pytest.mark.parametrize("groups", ["ab", ["a", "b"]], ids=["string", "string_groups"])
+    @pytest.mark.parametrize(
+        "groups, message",
+        [
+            ("ab", "nodes[0].split.groups must be a list, not 'ab'"),
+            (["a", "b"], "nodes[0].split.groups[0] must be a list, not 'a'"),
+        ],
+        ids=["string", "string_groups"],
+    )
     def test_groups_not_lists_is_one_error_line(
-        self, tmp_path, perfect, capsys, command, groups
+        self, tmp_path, perfect, capsys, command, groups, message
     ):
         model, data = setup_model(tmp_path, perfect)
         doc = json.loads(model.read_text(encoding="utf-8"))
@@ -1205,25 +1233,31 @@ class TestInspect:
             argv = ["predict", "--model", str(model), "--data", str(data),
                     "--out", str(tmp_path / "pred.csv")]
         assert main(argv) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1
-        assert err[0].startswith("error: split groups must be a list of lists")
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
     @pytest.mark.parametrize(
         "path, value, message",
         [
-            (("predictors", 0, "name"), 5, "predictor name must be text, not 5"),
-            (("predictors", 0, "categories", 1), 1, "predictor categories must be text, not 1"),
+            (("predictors", 0, "name"), 5, "predictors[0].name must be text, not 5"),
+            (
+                ("predictors", 0, "categories", 1),
+                1,
+                "predictors[0].categories[1] must be text, not 1",
+            ),
             (
                 ("predictors", 0, "float_category"),
                 False,
-                "predictor float_category must be text, not False",
+                "predictors[0].float_category must be text, not False",
             ),
             (("target",), None, "target must be text, not None"),
-            (("classes", 0), 1.5, "classes must be text, not 1.5"),
-            (("nodes", 0, "split", "predictor"), 0, "split predictor must be text, not 0"),
-            (("nodes", 0, "split", "groups", 1, 0), True, "split groups must be text, not True"),
+            (("classes", 0), 1.5, "classes[0] must be text, not 1.5"),
+            (("nodes", 0, "split", "predictor"), 0, "nodes[0].split.predictor must be text, not 0"),
+            (
+                ("nodes", 0, "split", "groups", 1, 0),
+                True,
+                "nodes[0].split.groups[1][0] must be text, not True",
+            ),
         ],
         ids=[
             "predictor_name",
@@ -1255,8 +1289,8 @@ class TestInspect:
             (("nodes", 1, "id"), "nodes[1].id"),
             (("nodes", 1, "depth"), "nodes[1].depth"),
             (("nodes", 1, "parent"), "nodes[1].parent"),
-            (("nodes", 0, "children", 1), "nodes[0].children"),
-            (("nodes", 2, "class_counts", "v"), "nodes[2].class_counts"),
+            (("nodes", 0, "children", 1), "nodes[0].children[1]"),
+            (("nodes", 2, "class_counts", "v"), "nodes[2].class_counts.v"),
         ]
         + [
             (("growth_params", name), f"growth_params.{name}")
@@ -1308,6 +1342,54 @@ class TestInspect:
             f"error: malformed model document: {message}"
         ]
 
+    def test_a_key_may_be_absent_exactly_where_it_may_be_null(self):
+        full = sales_fixture_tree().to_document()
+
+        def paths(value, path=()):
+            """The path of every key the reader reads; class counts and the schema echo hold
+            data, not fields."""
+            if isinstance(value, list):
+                for i, item in enumerate(value):
+                    yield from paths(item, path + (i,))
+            elif isinstance(value, dict) and path[-1:] not in [("class_counts",), ("schema",)]:
+                for key, item in value.items():
+                    yield path + (key,)
+                    yield from paths(item, path + (key,))
+
+        def outcome(path, edit):
+            """The bytes of the tree the edited document loads, or the words refusing it."""
+            doc = json.loads(json.dumps(full))
+            holder = doc
+            for key in path[:-1]:
+                holder = holder[key]
+            edit(holder, path[-1])
+            try:
+                return Tree.from_document(doc).document_bytes()
+            except ModelError as exc:
+                return str(exc)
+
+        same = sales_fixture_tree().document_bytes()
+        optional, required = set(), set()
+        # The envelope has words of its own (test_model's corrupted documents).
+        for path in (p for p in paths(full) if p[0] not in ("format", "format_version")):
+            holder = full
+            for key in path[:-1]:
+                holder = holder[key]
+            absent = outcome(path, dict.pop)
+            at = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path[:-1])
+            where = f"{at.lstrip('.')}: " if at else ""
+            if holder[path[-1]] is None:
+                assert absent == same
+            elif absent != f"malformed model document: {where}missing {path[-1]!r}":
+                # An absent key reads as null.
+                assert absent == outcome(path, lambda mapping, key: mapping.update({key: None}))
+            else:
+                required.add(path[-1])
+                continue
+            optional.add(path[-1])
+        assert optional == {"parent", "split", "stop_reason", "float_category", "schema"}
+        assert not optional & required
+
     @pytest.mark.parametrize(
         "field,text",
         [
@@ -1333,8 +1415,9 @@ class TestInspect:
         model.write_text(json.dumps(doc), encoding="utf-8")
         capsys.readouterr()
         assert main(["inspect", "--model", str(model)]) == 1
+        at = {"children": "nodes[0].children", "categories": "predictors[0].categories"}
         assert capsys.readouterr().err.splitlines() == [
-            f"error: {field} must be a list, not {text!r}"
+            f"error: {at.get(field, field)} must be a list, not {text!r}"
         ]
 
 

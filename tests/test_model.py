@@ -324,6 +324,15 @@ class TestDocumentValidation:
         [
             (lambda d: d.update(format="other"), "unrecognized format tag"),
             (lambda d: d.update(format_version=2), "unsupported model format version"),
+            # The version is the integer 1: true and 1.0 equal it, but are not it.
+            (
+                lambda d: d.update(format_version=True),
+                r"^unsupported model format version: True$",
+            ),
+            (
+                lambda d: d.update(format_version=1.0),
+                r"^unsupported model format version: 1\.0$",
+            ),
             (lambda d: d["nodes"][1].update(parent=99), "missing parent"),
             (
                 lambda d: d["nodes"][0]["class_counts"].update({"1": 9999}),
@@ -333,8 +342,18 @@ class TestDocumentValidation:
                 lambda d: d["nodes"][3].update(split=dict(d["nodes"][0]["split"])),
                 "mixes terminal and split markers",
             ),
-            (lambda d: d["nodes"][3].update(stop_reason="bored"), "unknown stop reason"),
-            (lambda d: d["nodes"][3].update(stop_reason="pure_node"), "unknown stop reason"),
+            (
+                lambda d: d["nodes"][3].update(stop_reason="bored"),
+                r"^malformed model document: nodes\[3\]\.stop_reason: unknown value 'bored'$",
+            ),
+            (
+                lambda d: d["nodes"][3].update(stop_reason="pure_node"),
+                r"^malformed model document: nodes\[3\]\.stop_reason: unknown value 'pure_node'$",
+            ),
+            (
+                lambda d: d["predictors"][0].update(scale="x"),
+                r"^malformed model document: predictors\[0\]\.scale: unknown value 'x'$",
+            ),
             (
                 lambda d: d["nodes"][3]["class_counts"].update({"1": -5}),
                 "negative class count",
@@ -356,7 +375,7 @@ class TestDocumentValidation:
                 "malformed model document",
             ),
             (lambda d: d["nodes"][1].update(depth=float("inf")), "malformed model document"),
-            (lambda d: d["nodes"].append(7), "node entry must be a mapping"),
+            (lambda d: d["nodes"].append(7), r"^nodes\[11\] must be a mapping, not 7$"),
             (lambda d: d.update(classes=[]), "declares no target classes"),
             (lambda d: d["nodes"][0].update(depth=1), "root depth must be 0"),
             (
