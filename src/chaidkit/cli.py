@@ -148,6 +148,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
         raise ChaidError("model carries no schema; cannot parse raw data")
     used = _split_predictors(tree)
     echo = DatasetSchema.from_doc(tree.schema)
+    absent = [name for name in used if name not in {col.name for col in echo.predictors}]
+    if absent:
+        raise ChaidError(f"model splits on predictor {absent[0]!r}, which its schema lacks")
     kept = tuple(col for col in echo.columns if col.role != "predictor" or col.name in used)
     schema = replace(echo, columns=kept)
     # A fault in the header or the first batch leaves no output file behind.

@@ -36,9 +36,9 @@ def grow_tree(
     Node ids are assigned in breadth-first creation order, with children
     ordered like their category groups, so identical inputs always produce
     the identical tree. ``class_order`` fixes the emitted class order and
-    defaults to the sorted observed classes. The records are turned into
-    label columns and coded once, at the root; every node is then a list
-    of row indices into them.
+    defaults to the sorted observed classes. The records are coded once,
+    at the root, each column through one dict of its labels; every node is
+    then a list of row indices into them.
     """
     universes = _check(len(records), predictors, target)
     root = CodedRecords.from_records(records, target, universes, class_order)

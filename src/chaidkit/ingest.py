@@ -32,7 +32,7 @@ from typing import Iterator, Mapping, Sequence
 
 from .core import MISSING_LABEL, PredictorSpec
 from .errors import DataError, _doc, _list, _mapping, _number, _opened, _text, _texts
-from .stats import CodedColumns, Scale, _compact
+from .stats import Scale, _compact
 
 __all__ = [
     "BinningSpec",
@@ -329,8 +329,8 @@ def load_schema(path: str | Path) -> DatasetSchema:
 class Dataset:
     """Loaded, fully categorical columns plus everything needed to rebuild them.
 
-    ``columns`` maps each parsed column to its labels, in row order, over
-    ``n_rows`` rows, held by a loaded dataset as :class:`CodedColumns`;
+    ``columns`` maps each parsed column to its labels by code and its code
+    per row, over ``n_rows`` rows; :meth:`labels` decodes one column, and
     :meth:`iter_records` and :attr:`records` build one dict per row from
     them on demand. ``boundaries`` maps each parsed numeric column to its
     realized bin boundaries; ``missing_counts`` reports per-column missing
@@ -340,17 +340,21 @@ class Dataset:
     """
 
     schema: DatasetSchema
-    columns: Mapping[str, Sequence[str]]
+    columns: Mapping[str, tuple[Sequence[str], Sequence[int]]]
     n_rows: int
     boundaries: dict[str, tuple[float, ...]]
     missing_counts: dict[str, int]
     header: tuple[str, ...] | None = None
     raw_rows: tuple[tuple[str, ...], ...] | None = None
 
+    def labels(self, name: str) -> list[str]:
+        """Column ``name``'s label of each row, in row order."""
+        return list(map(self.columns[name][0].__getitem__, self.columns[name][1]))
+
     def iter_records(self) -> Iterator[dict[str, str]]:
         """One dict per row, column name to label, each built as it is reached."""
         names = tuple(self.columns)
-        rows = zip(*self.columns.values()) if names else [()] * self.n_rows
+        rows = zip(*map(self.labels, names)) if names else [()] * self.n_rows
         return map(dict, map(zip, repeat(names), rows))
 
     @property
@@ -379,8 +383,7 @@ class Dataset:
         if col.kind == "numeric":
             labels = _bin_labels(self.boundaries.get(col.name, ()))
         else:  # a categorical column's labels by code are those its rows hold
-            names = CodedColumns.of(self.columns).data.get(col.name, ((), ()))[0]
-            labels = col.categories or sorted(set(names))
+            labels = col.categories or sorted(set(self.columns.get(col.name, ((),))[0]))
         floating = () if col.float_category is None else (col.float_category,)
         ordered = tuple(label for label in labels if label not in floating) + floating
         return ordered if ordered or col.role == "target" else (MISSING_LABEL,)
@@ -539,7 +542,7 @@ class _Labeler:
         boundaries: dict[str, tuple[float, ...]] = {}
         return Dataset(
             schema=self.schema,
-            columns=CodedColumns({c.col.name: c.coded(boundaries) for c in self.columns}),
+            columns={c.col.name: c.coded(boundaries) for c in self.columns},
             n_rows=self.n_rows,
             boundaries=boundaries,
             missing_counts={column.col.name: column.missing for column in self.columns},

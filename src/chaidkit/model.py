@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from pathlib import Path
 from typing import Callable, Mapping, get_args, get_origin, get_type_hints
 
@@ -222,7 +222,7 @@ class Tree:
         """Rebuild a tree from a model document, re-checking every invariant."""
         document = _opened(document, "model", MODEL_FORMAT, MODEL_FORMAT_VERSION, ModelError)
         try:
-            return _read(cls, document, "")
+            return _reader(cls)(document, "")
         except ModelError:
             raise
         except (ChaidError, KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -276,29 +276,54 @@ def _dot_escape(text: str) -> str:
 
 
 @cache
-def _fields(cls: type) -> tuple[tuple[str, object, bool], ...]:
-    """Each field of a model dataclass: its name, its type, and whether that type is ``X | None``.
+def _reader(kind: object) -> Callable[[object, str], object]:
+    """How a document value at a path is read as type ``kind``; every refusal names the path.
 
-    ``X | None`` is the only union in these classes, and its ``X`` is the type kept.
+    A dataclass's reader holds its field table: each field's name, its type's reader, and
+    whether that type is ``X | None``, the only union in these classes, read as ``X``.
     """
-    hints = get_type_hints(cls)
-    table = []
-    for f in fields(cls):
-        args = get_args(hints[f.name])
-        optional = type(None) in args
-        table.append((f.name, args[0] if optional else hints[f.name], optional))
-    return tuple(table)
+    if kind is int or kind is float:
+        return partial(_number, kind)
+    if kind is str:
+        return partial(_text, error=ModelError)
+    args = get_args(kind)
+    if get_origin(kind) is dict:  # class counts, dict[str, int]
+        item = _reader(args[1])
+        return lambda value, at: {
+            str(k): item(v, f"{at}.{k}") for k, v in _mapping(value, at, ModelError).items()
+        }
+    if args:  # tuple[X, ...]
+        item = _reader(args[0])
+        return lambda value, at: tuple(
+            item(v, f"{at}[{i}]") for i, v in enumerate(_list(value, at, ModelError))
+        )
+    if kind is dict:  # the schema echo, carried, not interpreted
+        return lambda value, at: dict(_mapping(value, at, ModelError))
+    if is_dataclass(kind):
+        hints, table = get_type_hints(kind), []
+        for f in fields(kind):
+            args = get_args(hints[f.name])
+            optional = type(None) in args
+            table.append((f.name, _reader(args[0] if optional else hints[f.name]), optional))
+        return partial(_read, kind, tuple(table))
+
+    def enum(value: object, at: str) -> object:  # a member, by its value
+        try:
+            return kind(value)
+        except ValueError:
+            raise ValueError(f"{at}: unknown value {value!r}") from None
+
+    return enum
 
 
-def _read(cls: type, doc: object, at: str) -> object:
+def _read(cls: type, table: tuple, doc: object, at: str) -> object:
     """The ``cls`` dataclass from the document mapping at path ``at``, one field at a time.
 
     A field may be absent exactly when it may be None. A split's partition is
     read from the split mapping itself, as :meth:`Tree.to_document` flattens it.
     """
-    doc = _mapping(doc, at, ModelError)
-    values = {}
-    for name, kind, optional in _fields(cls):
+    doc, values = _mapping(doc, at, ModelError), {}
+    for name, read, optional in table:
         path = f"{at}.{name}" if at else name
         if name == "partition":
             value, path = doc, at
@@ -306,31 +331,8 @@ def _read(cls: type, doc: object, at: str) -> object:
             value = doc.get(name)
         else:
             raise ValueError(f"{at}: missing {name!r}" if at else f"missing {name!r}")
-        values[name] = value if optional and value is None else _value(kind, value, path)
+        values[name] = value if optional and value is None else read(value, path)
     return cls(**values)
-
-
-def _value(kind: object, value: object, at: str) -> object:
-    """One document value read as type ``kind``; every refusal names its path ``at``."""
-    if kind is int or kind is float:
-        return _number(kind, value, at)
-    if kind is str:
-        return _text(value, at, ModelError)
-    args = get_args(kind)
-    if get_origin(kind) is dict:  # class counts, dict[str, int]
-        counts = _mapping(value, at, ModelError)
-        return {str(k): _value(args[1], v, f"{at}.{k}") for k, v in counts.items()}
-    if args:  # tuple[X, ...]
-        items = _list(value, at, ModelError)
-        return tuple(_value(args[0], v, f"{at}[{i}]") for i, v in enumerate(items))
-    if kind is dict:  # the schema echo, carried, not interpreted
-        return dict(_mapping(value, at, ModelError))
-    if is_dataclass(kind):
-        return _read(kind, value, at)
-    try:  # an enum, by its value
-        return kind(value)
-    except ValueError:
-        raise ValueError(f"{at}: unknown value {value!r}") from None
 
 
 def _validate_tree(tree: Tree) -> None:

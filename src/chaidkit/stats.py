@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections import Counter, UserDict
+from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 from operator import add, itemgetter
@@ -172,21 +172,6 @@ def _compact(values: Iterable[int], size: int) -> Sequence[int]:
     return bytes(values) if size <= 256 else array("I", values)
 
 
-class CodedColumns(UserDict):
-    """Columns as ``data[name]``: labels by code and a code per row; a read rebuilds the labels."""
-
-    @classmethod
-    def of(cls, columns: Mapping[str, Sequence[str]]) -> "CodedColumns":
-        """``columns``, coded unless it is already: a label column's code for a row is the row."""
-        if isinstance(columns, cls):
-            return columns
-        return cls({name: (labels, range(len(labels))) for name, labels in columns.items()})
-
-    def __getitem__(self, name: str) -> list:
-        names, codes = self.data[name]
-        return list(map(names.__getitem__, codes))
-
-
 @dataclass(frozen=True)
 class CodedRecords:
     """Records coded once as integers, and the rows of them at one tree node.
@@ -209,49 +194,51 @@ class CodedRecords:
     @classmethod
     def encode(
         cls,
-        columns: Mapping[str, Sequence[str]],
+        columns: Mapping[str, tuple[Sequence[str], Sequence[int]]],
         target: str,
         universes: Mapping[str, Sequence[str] | None],
         class_order: Sequence[str] | None = None,
     ) -> "CodedRecords":
-        """Code label columns once, at the root node, which holds every row.
+        """Code columns once, at the root node, which holds every row.
 
-        ``columns`` maps the target and each predictor column of
-        ``universes`` to its labels, in row order; ``universes`` maps the
-        predictor to its ordered categories, or to ``None`` for its sorted
-        observed values. Classes follow ``class_order``, or the sorted
-        observed classes.
+        ``columns`` maps the target and each predictor of ``universes`` to
+        its labels by code and its code per row, as a loaded dataset holds
+        them; ``universes`` maps a predictor to its ordered categories, or to
+        ``None`` for the sorted labels its rows hold. Classes follow
+        ``class_order``, or the sorted labels the target's rows hold.
 
         Raises:
             ChaidError: a missing column, a duplicate class in ``class_order``,
-                or a label outside it or outside a column's given categories.
+                or a row's label outside it or outside a column's given categories.
         """
         for name in (target, *universes):
             if name not in columns:
                 what = "the target column" if name == target else "column"
                 raise ChaidError(f"record 0 is missing {what} {name!r}")
-        coded = CodedColumns.of(columns)
+        names, codes = columns[target]
+        held = set(codes)
         if class_order is None:
-            classes = tuple(sorted(set(coded[target])))
+            classes = tuple(sorted({names[c] for c in held}))
         else:
             classes = tuple(str(c) for c in class_order)
             if len(set(classes)) != len(classes):
                 raise ChaidError("duplicate class in class order")
-        names, codes = coded.data[target]
         code = {label: i for i, label in enumerate(classes)}
         try:
-            class_codes = _compact(map([code[n] for n in names].__getitem__, codes), len(classes))
+            by_code = [code[n] if c in held else 0 for c, n in enumerate(names)]
         except KeyError as exc:
             raise ChaidError(f"target class {exc.args[0]!r} not in declared class order") from None
+        class_codes = _compact(map(by_code.__getitem__, codes), len(classes))
         categories: dict[str, tuple[str, ...]] = {}
         keys: dict[str, Sequence[int]] = {}
         for name, universe in universes.items():
-            cats = tuple(sorted(set(coded[name]))) if universe is None else tuple(universe)
+            names, codes = columns[name]
+            held = set(codes)
+            cats = tuple(sorted({names[c] for c in held})) if universe is None else tuple(universe)
             categories[name] = cats
-            names, codes = coded.data[name]
             base = {cat: rank * len(classes) for rank, cat in enumerate(cats)}
             try:
-                bases = [base[n] for n in names]
+                bases = [base[n] if c in held else 0 for c, n in enumerate(names)]
             except KeyError as exc:
                 fault = f"category {exc.args[0]!r} is not declared for predictor {name!r}"
                 raise ChaidError(fault) from None
@@ -270,12 +257,14 @@ class CodedRecords:
         """Code one mapping per row, values as text; a record must hold every coded column."""
         columns = {}
         for name in (target, *universes):
+            code: dict[str, int] = {}
             try:
-                columns[name] = [str(rec[name]) for rec in records]
+                codes = [code.setdefault(str(rec[name]), len(code)) for rec in records]
             except KeyError:
                 index = next(i for i, rec in enumerate(records) if name not in rec)
                 what = "the target column" if name == target else "column"
                 raise ChaidError(f"record {index} is missing {what} {name!r}") from None
+            columns[name] = (list(code), codes)
         return cls.encode(columns, target, universes, class_order)
 
     def at(self, rows: Sequence[int]) -> "CodedRecords":

@@ -180,7 +180,7 @@ def whole_file_load_dataset(source, schema, *, require_target=True, keep_raw=Fal
         raise DataError("; ".join(problems))
     return Dataset(
         schema=schema,
-        columns=columns,
+        columns={name: (labels, range(len(labels))) for name, labels in columns.items()},
         n_rows=len(rows),
         boundaries=boundaries,
         missing_counts=missing_counts,

@@ -629,6 +629,29 @@ class TestPredict:
         assert rc == 1
         assert "carries no schema" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fault", ["deleted", "ignored"])
+    def test_schema_without_a_split_predictor_is_one_error_line(self, tmp_path, capsys, fault):
+        data = SHIPPED_DATA / "listings.csv"
+        rc, model = train(tmp_path, SHIPPED_DATA / "schema.json", data)
+        assert rc == 0
+        doc = json.loads(model.read_text(encoding="utf-8"))
+        assert "akurasi" in [node["split"]["predictor"] for node in doc["nodes"] if node["split"]]
+        columns = doc["schema"]["columns"]
+        (at,) = [i for i, col in enumerate(columns) if col["name"] == "akurasi"]
+        if fault == "deleted":
+            del columns[at]
+        else:
+            columns[at] = {"name": "akurasi", "role": "ignored", "kind": "categorical"}
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        out = tmp_path / "pred.csv"
+        rc = main(["predict", "--model", str(model), "--data", str(data), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr() == (
+            "", "error: model splits on predictor 'akurasi', which its schema lacks\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "columns,message",
         [

@@ -330,9 +330,11 @@ class TestCodingEntryPoints:
         with mock.patch.object(chaidkit.grow, "_grow", lambda root, *rest: root):
             root = train_tree(dataset)
         target = schema.target.name
-        labels = dict(dataset.columns)  # each column's labels, rebuilt from its codes
+        labels = {name: dataset.labels(name) for name in dataset.columns}
         universes = {spec.name: spec.categories for spec in dataset.predictor_specs()}
-        coded = CodedRecords.encode(labels, target, universes, class_order=dataset.classes)
+        # The label columns with each row its own code, as the records of a plain list are.
+        rows = {name: (column, range(dataset.n_rows)) for name, column in labels.items()}
+        coded = CodedRecords.encode(rows, target, universes, class_order=dataset.classes)
         assert root.classes == coded.classes == dataset.classes
         assert root.categories == coded.categories == universes
         assert root.rows == coded.rows == range(dataset.n_rows)
@@ -345,6 +347,20 @@ class TestCodingEntryPoints:
             ]
             assert list(keys) == list(coded.keys[name]) == expected
             assert isinstance(keys, bytes if len(cats) * n_classes <= 256 else array)
+
+    def test_observed_classes_and_categories_are_those_the_rows_hold(self):
+        # Three equal-width bins over 0..10: no row of either column falls in the middle one.
+        binning = BinningSpec("equal_width", bin_count=3)
+        schema = DatasetSchema((
+            ColumnSpec("x", "predictor", "numeric", binning=binning),
+            ColumnSpec("y", "target", "numeric", binning=binning),
+        ))
+        dataset = load_dataset(io.StringIO("x,y\n0,0\n1,10\n10,1\n9,9\n"), schema)
+        root = CodedRecords.encode(dataset.columns, "y", {"x": None})
+        assert [names for names, _ in dataset.columns.values()] == [["1", "2", "3"]] * 2
+        assert root.classes == ("1", "3")
+        assert root.categories == {"x": ("1", "3")}
+        assert list(root.keys["x"]) == [0, 1, 2, 3]
 
 
 class TestGrowValidation:

@@ -47,7 +47,7 @@ def load_bins(values, spec):
     )
     text = "x\n" + "".join(f"{v!r}\n" for v in values)
     dataset = load_text(text, schema, require_target=False)
-    return dataset.columns["x"], dataset.boundaries["x"]
+    return dataset.labels("x"), dataset.boundaries["x"]
 
 
 QUARTILE_CUTS = BinningSpec(strategy="explicit_boundaries", boundaries=(25.0, 50.0, 75.0))
@@ -656,7 +656,7 @@ def load_outcome(load, text, schema, require_target, keep_raw):
     except DataError as exc:
         return str(exc)
     return (
-        list(dataset.columns.items()),
+        [(name, dataset.labels(name)) for name in dataset.columns],
         list(dataset.boundaries.items()),
         list(dataset.missing_counts.items()),
         dataset.n_rows,
@@ -787,7 +787,7 @@ class TestDatasetDerived:
         by_name = {spec.name: spec for spec in dataset.predictor_specs()}
         assert by_name["n"].categories == ("1", "2")
         # A numeric float predictor's categories are its bins, then the floating one.
-        assert dataset.columns["g"] == ["1", MISSING_LABEL, "2", "1"]
+        assert dataset.labels("g") == ["1", MISSING_LABEL, "2", "1"]
         assert by_name["g"].categories == ("1", "2", MISSING_LABEL)
         assert by_name["g"].float_category == MISSING_LABEL
         assert by_name["c"].categories == ("q", "p")

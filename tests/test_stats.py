@@ -53,6 +53,11 @@ DEEP_STATISTICS = [1e3, 1351.0, 1352.0, 1353.0, 1500.0, 7.2e3, 1e4, 1e5, 3.3e5, 
 DEEP_DFS = [1, 2, 3, 4, 5, 8, 15, 30, 31, 64, 99, 150, 199, 200]
 
 
+def pairs(columns):
+    """Label columns in the form ``CodedRecords.encode`` takes: each row its own code."""
+    return {name: (labels, range(len(labels))) for name, labels in columns.items()}
+
+
 def _even_df_log_tail(statistic: float, df: int) -> float:
     """log Q(df/2, x) for even df as -x + log sum_{i < df/2} x^i / i!, in 60-digit decimal."""
     with localcontext() as ctx:
@@ -172,7 +177,7 @@ class TestContingency:
     )
     def test_encode_refuses_a_missing_column(self, columns, message):
         with pytest.raises(ChaidError, match=message):
-            CodedRecords.encode(columns, "y", {"x": None})
+            CodedRecords.encode(pairs(columns), "y", {"x": None})
 
     def test_value_outside_partition(self):
         records = records_from_counts({("A", "u"): 1, ("D", "u"): 1})
@@ -182,7 +187,7 @@ class TestContingency:
     def test_partition_rows_refuses_a_value_outside_partition(self):
         # 'd' comes first in row order, 'c' first in category order.
         columns = {"x": ["d", "a", "b", "c", "b"], "y": ["u", "v", "u", "u", "v"]}
-        node = CodedRecords.encode(columns, "y", {"x": ["a", "b", "c", "d", "e"]})
+        node = CodedRecords.encode(pairs(columns), "y", {"x": ["a", "b", "c", "d", "e"]})
         groups = [("a",), ("b",)]
         with pytest.raises(ChaidError) as merged:
             build_contingency(node, "x").merge_rows(groups)
@@ -274,7 +279,7 @@ def coded_nodes(draw):
         for name, cats in universes.items()
     }
     columns["y"] = draw(st.lists(st.sampled_from(classes), min_size=n, max_size=n))
-    root = CodedRecords.encode(columns, "y", universes, class_order=classes)
+    root = CodedRecords.encode(pairs(columns), "y", universes, class_order=classes)
     kind = draw(st.sampled_from(["root", "root as a list", "one row", "some rows"]))
     if kind == "root":
         return root
@@ -295,7 +300,7 @@ class TestDirectTables:
             assert sum(map(sum, table.counts)) == len(node.rows)
 
     def test_empty_node(self):
-        root = CodedRecords.encode({"x": ["a", "b"], "y": ["u", "v"]}, "y", {"x": None})
+        root = CodedRecords.encode(pairs({"x": ["a", "b"], "y": ["u", "v"]}), "y", {"x": None})
         for node in (root.at([]), root.at(range(0)), coded([], "x")):
             with pytest.raises(ChaidError, match="empty node"):
                 build_contingency(node, "x")
